@@ -232,8 +232,8 @@ def cmd_eval(args) -> int:
         indices = range(len(dataset))
     samples = [dataset[i][0] for i in indices]
     labels = [dataset[i][1] for i in indices]
-    loss, acc, _ = evaluate(model, samples, labels)
-    cm = confusion_matrix(model, samples, labels, model.config.num_classes)
+    loss, acc, preds = evaluate(model, samples, labels)
+    cm = confusion_matrix(labels, preds, model.config.num_classes)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.checkpoint).stem

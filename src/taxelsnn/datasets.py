@@ -51,6 +51,9 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=np.int64)
 
 
+_NUMERIC_HEADER = {"taxels": int, "channels": int, "bin_width": float}
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and fully validate a manifest (files exist, labels dense)."""
     path = Path(path)
@@ -58,15 +61,19 @@ def load_manifest(path) -> DatasetManifest:
         raw_lines = path.read_text().splitlines()
     except FileNotFoundError:
         raise DataFormatError(f"file not found: {path}") from None
-    header: dict[str, str] = {}
+    header: dict = {}
     entries: list[tuple[Path, int]] = []
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] in ("taxels", "channels", "bin_width"):
-            header[parts[0]] = parts[1]
+        if parts[0] in _NUMERIC_HEADER:
+            try:
+                (value,) = parts[1:]
+                header[parts[0]] = _NUMERIC_HEADER[parts[0]](value)
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: bad {parts[0]} line {raw!r}") from None
             continue
         if parts[0] == "classes":
             header["classes"] = " ".join(parts[1:])
@@ -92,9 +99,9 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(
         entries=tuple(entries),
         class_names=class_names,
-        num_taxels=int(header["taxels"]),
-        num_channels=int(header["channels"]),
-        bin_width=float(header["bin_width"]),
+        num_taxels=header["taxels"],
+        num_channels=header["channels"],
+        bin_width=header["bin_width"],
     )
 
 
@@ -118,7 +125,7 @@ def load_samples(manifest: DatasetManifest):
     Streams shorter than the longest one are padded to a common timestep
     count so the averaging window is identical across samples.
     """
-    streams = []
+    binned = []
     for sample_path, label in manifest.entries:
         stream = load_event_file(sample_path)
         if stream.num_taxels != manifest.num_taxels or stream.num_channels != manifest.num_channels:
@@ -126,13 +133,12 @@ def load_samples(manifest: DatasetManifest):
                 f"{sample_path}: sample declares {stream.num_taxels} taxels / "
                 f"{stream.num_channels} channels, manifest says "
                 f"{manifest.num_taxels} / {manifest.num_channels}")
-        streams.append((stream, label))
-    if not streams:
+        binned.append((bin_events(stream, manifest.bin_width), label))
+    if not binned:
         return []
-    t_max = max(bin_events(s, manifest.bin_width).num_steps for s, _ in streams)
+    t_max = max(tensor.num_steps for tensor, _ in binned)
     dataset = []
-    for stream, label in streams:
-        tensor = bin_events(stream, manifest.bin_width)
+    for tensor, label in binned:
         if tensor.num_steps < t_max:
             pad = np.zeros((t_max - tensor.num_steps, tensor.num_taxels,
                             tensor.num_channels), dtype=tensor.data.dtype)

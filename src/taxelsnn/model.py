@@ -7,9 +7,9 @@ leaky integrate-and-fire units. Membrane state persists across the
 timesteps of one sample and is zeroed at sample start. A fixed, untrained
 voting matrix maps the last layer's spike counts to class scores.
 
-The forward pass records everything the backward pass needs (membranes,
-firing indicators, emitted outputs, propagated inputs), so training can
-unroll gradients through the full time window.
+The forward pass runs layer by layer over the time window and records
+everything the backward pass needs (membranes, firing indicators, emitted
+outputs, propagated inputs), so training can unroll gradients through it.
 """
 from __future__ import annotations
 
@@ -144,33 +144,54 @@ def tagconv_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray,
 
     x is the (N, C) spike matrix of one timestep; output is the (N, F)
     real-valued synaptic current (the spiking nonlinearity is the caller's).
+    Runs the same products as ``model_forward``, on a one-step window.
     """
     x = np.asarray(x, dtype=np.float64)
     n, c = x.shape
     if g.shape[0] != c or g.shape[2] != len(powers):
         raise ValueError(f"filter shape {g.shape} inconsistent with input {x.shape} "
                          f"and {len(powers)} adjacency powers")
-    px = np.stack([p @ x for p in powers])          # (K+1, N, C)
-    return np.einsum("knc,cfk->nf", px, g) + b
+    return _tagconv_drive(_propagate(x[None], powers), g)[0] + b
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense current x @ w.T + b for one input vector or a (T, in) window of them."""
     x = np.asarray(x, dtype=np.float64)
     if w.shape[1] != x.shape[-1]:
         raise ValueError(f"weight expects input size {w.shape[1]}, got {x.shape[-1]}")
     return x @ w.T + b
 
 
+def _propagate(x: np.ndarray, powers) -> np.ndarray:
+    """A^k x_t for every hop k and timestep t as one product: (T, N, C) -> (T, K+1, N, C)."""
+    t_steps, n, c = x.shape
+    px = np.reshape(powers, (-1, n)) @ x.transpose(1, 0, 2).reshape(n, t_steps * c)
+    return px.reshape(len(powers), n, t_steps, c).transpose(2, 0, 1, 3)
+
+
+def hop_major(propagated: np.ndarray) -> np.ndarray:
+    """Propagated (T, K+1, N, C) as the (T*N, (K+1)*C) filter factor; columns (k, c), c fastest."""
+    t_steps, hops, n, c = propagated.shape
+    return propagated.transpose(0, 2, 1, 3).reshape(t_steps * n, hops * c)
+
+
+def _tagconv_drive(propagated: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Filter input without bias for every timestep, (T, N, F), as one product."""
+    t_steps, hops, n, c = propagated.shape
+    g_mat = g.transpose(2, 0, 1).reshape(hops * c, -1)   # rows ordered (k, c) like hop_major
+    return (hop_major(propagated) @ g_mat).reshape(t_steps, n, -1)
+
+
 @dataclass
 class LayerTrace:
     u: np.ndarray       # (T, ...) membrane potentials
     fired: np.ndarray   # (T, ...) binary threshold crossings (drive the reset)
-    out: np.ndarray     # (T, ...) emitted signal; == fired unless relaxed
+    out: np.ndarray     # (T, ...) emitted signal; the fired array itself unless relaxed
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, recorded over the time window."""
+    """Everything the backward pass needs, recorded layer by layer over the window."""
 
     x: np.ndarray                   # (T, N, C)
     propagated: np.ndarray          # tagconv: (T, K+1, N, C); mlp: (T, N*C)
@@ -183,7 +204,11 @@ class ForwardTrace:
 
 
 def model_forward(model: Model, sample, relaxed: bool = False):
-    """Run one sample through the network.
+    """Run one sample through the network, layer by layer.
+
+    A layer's emissions feed the next layer within the same timestep only,
+    so each layer computes its input currents for the whole window as one
+    matrix product and then scans its membranes over time.
 
     Returns (outputs, trace) where outputs is the (T, num_output_neurons)
     record of last-layer emissions. In the default spiking mode they are
@@ -202,49 +227,36 @@ def model_forward(model: Model, sample, relaxed: bool = False):
     if n != cfg.graph.num_nodes or c != cfg.num_channels:
         raise ValueError(f"sample shape {x.shape[1:]} does not match "
                          f"(nodes={cfg.graph.num_nodes}, channels={cfg.num_channels})")
-    lif = cfg.lif
 
-    # Feature-layer currents depend only on the inputs, so compute all
-    # timesteps in one shot before the sequential membrane loop.
     if cfg.feature == "tagconv":
-        powers = np.stack(cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
-        propagated = np.einsum("knm,tmc->tknc", powers, x)
-        feat_shape = (n, cfg.feature_width)
+        propagated = _propagate(x, cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
     else:
         propagated = x.reshape(t_steps, n * c)
-        feat_shape = (cfg.feature_width,)
-    z_feat = _feature_drive(model, propagated) + model.params["feature.b"]
-
-    sizes = [feat_shape] + [(s,) for s in cfg.fc_sizes]
-    traces = [LayerTrace(u=np.empty((t_steps, *shape)),
-                         fired=np.empty((t_steps, *shape)),
-                         out=np.empty((t_steps, *shape)))
-              for shape in sizes]
-    u = [np.zeros(shape) for shape in sizes]
-    fired = [np.zeros(shape) for shape in sizes]
-
-    fc_w = [model.params[f"fc{i}.w"] for i in range(1, len(cfg.fc_sizes) + 1)]
-    fc_b = [model.params[f"fc{i}.b"] for i in range(1, len(cfg.fc_sizes) + 1)]
-
-    for t in range(t_steps):
-        u[0], fired[0] = membrane_update(u[0], fired[0], z_feat[t], lif)
-        out = relaxed_spike(u[0], lif) if relaxed else fired[0]
-        traces[0].u[t], traces[0].fired[t], traces[0].out[t] = u[0], fired[0], out
-        signal = out.ravel()
-        for li, (w, b) in enumerate(zip(fc_w, fc_b), start=1):
-            z = w @ signal + b
-            u[li], fired[li] = membrane_update(u[li], fired[li], z, lif)
-            out = relaxed_spike(u[li], lif) if relaxed else fired[li]
-            traces[li].u[t], traces[li].fired[t], traces[li].out[t] = u[li], fired[li], out
-            signal = out
-    trace = ForwardTrace(x=x, propagated=propagated, layers=traces, relaxed=relaxed)
+    layers = [_lif_scan(_feature_drive(model, propagated) + model.params["feature.b"],
+                        cfg.lif, relaxed)]
+    for i in range(1, len(cfg.fc_sizes) + 1):
+        below = layers[-1].out.reshape(t_steps, -1)
+        z = fc_forward(below, model.params[f"fc{i}.w"], model.params[f"fc{i}.b"])
+        layers.append(_lif_scan(z, cfg.lif, relaxed))
+    trace = ForwardTrace(x=x, propagated=propagated, layers=layers, relaxed=relaxed)
     return trace.outputs, trace
+
+
+def _lif_scan(z: np.ndarray, lif: LifConfig, relaxed: bool) -> LayerTrace:
+    """One layer's membrane recurrence over the window, given its (T, ...) currents."""
+    layer = LayerTrace(u=np.empty_like(z), fired=np.empty_like(z), out=None)
+    u = fired = np.zeros(z.shape[1:])
+    for t in range(len(z)):
+        u, fired = membrane_update(u, fired, z[t], lif)
+        layer.u[t], layer.fired[t] = u, fired
+    layer.out = relaxed_spike(layer.u, lif) if relaxed else layer.fired
+    return layer
 
 
 def _feature_drive(model: Model, propagated: np.ndarray) -> np.ndarray:
     """Feature-layer weighted input for every timestep, bias excluded."""
     if model.config.feature == "tagconv":
-        return np.einsum("tknc,cfk->tnf", propagated, model.params["feature.g"])
+        return _tagconv_drive(propagated, model.params["feature.g"])
     return propagated @ model.params["feature.w"].T
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .lif import surrogate_grad
-from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, init_model,
-                    model_forward, vote)
+from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, hop_major,
+                    init_model, model_forward, vote)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
 
     dz_feat = _lif_backward_scan(dout, trace.layers[0], lif)
     if cfg.feature == "tagconv":
-        grads["feature.g"] = np.einsum("tknc,tnf->cfk", trace.propagated, dz_feat)
+        dg = hop_major(trace.propagated).T @ dz_feat.reshape(-1, cfg.feature_width)
+        grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
         grads["feature.b"] = dz_feat.sum(axis=(0, 1))
     else:
         grads["feature.w"] = dz_feat.T @ trace.propagated
@@ -206,11 +207,10 @@ def evaluate(model: Model, samples, labels):
     return float(np.mean(losses)) if losses else float("nan"), acc, preds
 
 
-def confusion_matrix(model: Model, samples, labels, num_classes: int) -> np.ndarray:
+def confusion_matrix(labels, predictions, num_classes: int) -> np.ndarray:
     """Counts of (true, predicted) pairs, shape (num_classes, num_classes)."""
-    _, _, preds = evaluate(model, samples, labels)
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for truth, pred in zip(labels, preds):
+    for truth, pred in zip(labels, predictions):
         cm[truth, pred] += 1
     return cm
 
@@ -252,13 +252,13 @@ def train(model: Model, dataset, cfg: TrainConfig):
             grads = backward(model, trace, y)
             adam_step(model.params, grads, state, cfg.learning_rate,
                       cfg.adam_betas, cfg.adam_eps)
-        test_loss, test_acc, _ = evaluate(model, test_samples, test_labels)
+        test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
         metrics.epochs.append(epoch)
         metrics.train_loss.append(float(epoch_losses.mean()))
         metrics.test_loss.append(test_loss)
         metrics.test_accuracy.append(test_acc)
     if cfg.epochs > 0:
-        metrics.confusion = confusion_matrix(model, test_samples, test_labels, num_classes)
+        metrics.confusion = confusion_matrix(test_labels, test_preds, num_classes)
     return model, metrics, (train_idx, test_idx)
 
 

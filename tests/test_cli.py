@@ -134,6 +134,19 @@ def test_train_missing_manifest_is_data_error(capsys, synth_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x"])
+def test_train_bad_manifest_header_is_data_error(capsys, synth_dir, tmp_path, bad):
+    lines = (synth_dir / "manifest.txt").read_text().splitlines()
+    key = bad.split()[0]
+    lines = [bad if line.split()[0] == key else line for line in lines]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "train", "--layout", str(synth_dir / "layout.txt"),
+                       "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"))
+    assert code == 2
+    assert f"{manifest}:{lines.index(bad) + 1}:" in err
+
+
 def test_train_requires_paths(capsys):
     code, _, err = run(capsys, "train")
     assert code == 1

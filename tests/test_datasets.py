@@ -130,6 +130,16 @@ def test_manifest_missing_header(tmp_path):
         load_manifest(tmp_path / "manifest.txt")
 
 
+@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x"])
+def test_manifest_bad_header_value_names_file_and_line(tmp_path, bad):
+    key = bad.split()[0]
+    good = ["# header", "taxels 2", "channels 1", "bin_width 0.02", "classes a b"]
+    lines = [bad if line.split()[0] == key else line for line in good]
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=rf"manifest\.txt:{lines.index(bad) + 1}: .*{key}"):
+        load_manifest(tmp_path / "manifest.txt")
+
+
 def test_manifest_round_trip(tmp_path):
     sample = tmp_path / "s0.events"
     sample.write_text("taxels 2\nchannels 1\nduration 0.1\n0.05 0 0\n")

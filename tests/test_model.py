@@ -255,8 +255,8 @@ def test_mlp_variant_forward():
 def weighted_input_stds(model, samples):
     """Per-layer std of W @ input (bias excluded), pooled over samples, steps, neurons.
 
-    Built from tagconv_forward / fc_forward with a zero bias, independently
-    of the code under test.
+    Built step by step from tagconv_forward / fc_forward with a zero bias,
+    not through calibrate (the dense oracle checks tagconv_forward itself).
     """
     cfg = model.config
     p = model.params

@@ -289,7 +289,8 @@ def test_confusion_constant_classifier_single_column():
         arr[:] = 0.0  # silent network always votes class 0
     samples = [x for x, _ in data]
     labels = [lbl for _, lbl in data]
-    cm = confusion_matrix(model, samples, labels, 2)
+    _, _, preds = evaluate(model, samples, labels)
+    cm = confusion_matrix(labels, preds, 2)
     np.testing.assert_array_equal(cm[:, 1], [0, 0])
     assert cm[:, 0].sum() == len(data)
 
@@ -312,9 +313,9 @@ def test_confusion_perfect_classifier_is_diagonal():
         x[:, cls, 0] = 1.0
         samples.append(x)
         labels.append(cls)
-    cm = confusion_matrix(model, samples, labels, 2)
+    _, acc, preds = evaluate(model, samples, labels)
+    cm = confusion_matrix(labels, preds, 2)
     np.testing.assert_array_equal(cm, [[2, 0], [0, 3]])
-    _, acc, _ = evaluate(model, samples, labels)
     assert acc == 1.0
 
 
