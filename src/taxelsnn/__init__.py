@@ -3,10 +3,10 @@
 from .errors import DataFormatError
 from .layout import TaxelLayout, radial_layout, load_layout, save_layout, load_edge_list
 from .graphs import (GraphSpec, TactileGraph, build_manual, build_knn, build_mst,
-                     build_graph, normalize_adjacency, adjacency_powers, average_degree)
-from .lif import LifConfig, LifState, lif_step, surrogate_grad, relaxed_spike
-from .model import (NetworkConfig, Model, init_model, calibrate, model_forward, vote,
-                    predict, tagconv_forward, fc_forward, voting_matrix, save_model,
+                     build_graph, normalize_adjacency, adjacency_powers)
+from .lif import LifConfig, surrogate_grad, relaxed_spike
+from .model import (NetworkConfig, Model, init_model, calibrate, model_forward, lif_scan,
+                    vote, tagconv_forward, fc_forward, voting_matrix, save_model,
                     load_model)
 from .training import (TrainConfig, Metrics, voting_loss, backward, adam_step, AdamState,
                        stratified_split, train, evaluate, confusion_matrix, run_rounds,

@@ -62,13 +62,16 @@ class RunConfig:
     seed: int = 0
 
 
+# each RunConfig field's value type (str, int or float), read off its default
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+
+
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
     except FileNotFoundError:
         raise DataFormatError(f"config file not found: {path}") from None
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,21 +80,12 @@ def load_run_config(path) -> RunConfig:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
+        if key not in _FIELD_TYPES:
             raise DataFormatError(f"{path}:{lineno}: unknown config key {key!r}")
-        current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):
-                parsed = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
+            setattr(cfg, key, _FIELD_TYPES[key](value))
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-        setattr(cfg, key, parsed)
     return cfg
 
 
@@ -274,15 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train over one or more rounds and write checkpoints")
     p.add_argument("--config", default="")
-    for name, conv in [("layout", str), ("manifest", str), ("out-dir", str),
-                       ("method", str), ("edges", str), ("feature", str),
-                       ("fc-sizes", str)]:
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=conv, default=None)
-    for name in ["k", "hops", "epochs", "rounds", "seed", "feature-width"]:
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    for name in ["sigma-d", "learning-rate", "split-fraction", "beta",
-                 "u-threshold", "u-reset", "surrogate-width"]:
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
+    for name, kind in _FIELD_TYPES.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint against a manifest")

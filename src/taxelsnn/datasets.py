@@ -24,19 +24,21 @@ channel) and calling ``write_event_file``; see the README recipe.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .events import EventStream, SpikeTensor, bin_events, load_event_file, write_event_file
+from .events import (EventStream, SpikeTensor, bin_events, load_event_file, parse_header_line,
+                     write_event_file)
 from .layout import TaxelLayout
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    entries: tuple[tuple[Path, int], ...]  # (absolute sample path, label)
+    entries: tuple[tuple[Path, int], ...]  # (sample path, label)
     class_names: tuple[str, ...]
     num_taxels: int
     num_channels: int
@@ -49,9 +51,6 @@ class DatasetManifest:
     @property
     def labels(self) -> np.ndarray:
         return np.array([label for _, label in self.entries], dtype=np.int64)
-
-
-_NUMERIC_HEADER = {"taxels": int, "channels": int, "bin_width": float}
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -68,12 +67,11 @@ def load_manifest(path) -> DatasetManifest:
         if not line:
             continue
         parts = line.split()
-        if parts[0] in _NUMERIC_HEADER:
+        if parts[0] in ("taxels", "channels", "bin_width"):
             try:
-                (value,) = parts[1:]
-                header[parts[0]] = _NUMERIC_HEADER[parts[0]](value)
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad {parts[0]} line {raw!r}") from None
+                header[parts[0]] = parse_header_line(parts)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             continue
         if parts[0] == "classes":
             header["classes"] = " ".join(parts[1:])
@@ -114,7 +112,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
         "classes " + " ".join(manifest.class_names),
     ]
     for sample_path, label in manifest.entries:
-        rel = Path(sample_path).relative_to(path.parent) if Path(sample_path).is_absolute() else sample_path
+        # load_manifest resolves entries against the manifest's directory
+        rel = Path(os.path.relpath(sample_path, path.parent))
         lines.append(f"{rel.as_posix()} {label}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -147,6 +146,9 @@ def load_samples(manifest: DatasetManifest):
     return dataset
 
 
+TEMPLATE_RATES = (20.0, 40.0)   # events/s bounds of a class template's firing rates
+
+
 @dataclass(frozen=True)
 class ClassTemplate:
     taxels: tuple[int, ...]
@@ -174,13 +176,12 @@ def _assign_taxel_clusters(layout: TaxelLayout, num_classes: int, rng) -> list[l
 def generate_synthetic(out_dir, layout: TaxelLayout, num_classes: int = 4,
                        samples_per_class: int = 40, duration: float = 1.0,
                        bin_width: float = 0.02, num_channels: int = 2,
-                       noise_rate: float = 0.0, seed: int = 0,
-                       rate_range: tuple[float, float] = (20.0, 40.0)) -> DatasetManifest:
+                       noise_rate: float = 0.0, seed: int = 0) -> DatasetManifest:
     """Write a labeled synthetic event dataset; returns its manifest.
 
     noise_rate is background Poisson activity in events per taxel-channel
     per second; zero keeps the class templates perfectly disjoint.
-    rate_range bounds the per-(taxel, channel) template firing rates.
+    Template firing rates per (taxel, channel) are drawn from TEMPLATE_RATES.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -193,7 +194,7 @@ def generate_synthetic(out_dir, layout: TaxelLayout, num_classes: int = 4,
     clusters = _assign_taxel_clusters(layout, num_classes, rng)
     templates = []
     for taxels in clusters:
-        rates = rng.uniform(*rate_range, size=(len(taxels), num_channels))
+        rates = rng.uniform(*TEMPLATE_RATES, size=(len(taxels), num_channels))
         onset = float(rng.uniform(0.0, 0.2 * duration))
         templates.append(ClassTemplate(tuple(taxels), rates, onset))
 

@@ -31,6 +31,24 @@ from .errors import DataFormatError
 # forgives float round-off when a timestamp sits on a bin boundary
 _BIN_EPS = 1e-9
 
+# numeric header lines of the event and manifest formats; every value is finite
+# and positive, except that a recording may last 0 s
+_HEADER_TYPES = {"taxels": int, "channels": int, "duration": float, "bin_width": float}
+
+
+def parse_header_line(parts: list[str]):
+    """Value of a numeric header line split into words; ValueError says what is wrong."""
+    key, kind = parts[0], _HEADER_TYPES[parts[0]]
+    try:
+        (value,) = parts[1:]
+        parsed = kind(value)
+    except ValueError:
+        parsed = math.nan
+    if not (0 < parsed < math.inf or (parsed == 0 and key == "duration")):
+        raise ValueError(f"{key} needs one finite {kind.__name__} "
+                         f"{'>= 0' if key == 'duration' else '> 0'}; got {' '.join(parts)!r}")
+    return parsed
+
 
 @dataclass(frozen=True)
 class EventStream:
@@ -118,16 +136,6 @@ def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
     return SpikeTensor(data, bin_width)
 
 
-def bin_centers_stream(tensor: SpikeTensor, num_taxels=None, num_channels=None) -> EventStream:
-    """Reconstruct a stream with one event at the center of each set cell."""
-    t_idx, n_idx, c_idx = np.nonzero(tensor.data)
-    times = (t_idx + 0.5) * tensor.bin_width
-    return EventStream(times, n_idx, c_idx,
-                       duration=tensor.num_steps * tensor.bin_width,
-                       num_taxels=tensor.num_taxels,
-                       num_channels=tensor.num_channels)
-
-
 def load_event_file(path) -> EventStream:
     """Parse the event wire format; errors carry the offending line number."""
     path = Path(path)
@@ -135,7 +143,7 @@ def load_event_file(path) -> EventStream:
         raw_lines = path.read_text().splitlines()
     except FileNotFoundError:
         raise DataFormatError(f"file not found: {path}") from None
-    header: dict[str, float] = {}
+    header: dict = {}
     times, taxels, channels = [], [], []
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -143,12 +151,10 @@ def load_event_file(path) -> EventStream:
             continue
         parts = line.split()
         if parts[0] in ("taxels", "channels", "duration"):
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: malformed header line {raw!r}")
             try:
-                header[parts[0]] = float(parts[1])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad header value {parts[1]!r}") from None
+                header[parts[0]] = parse_header_line(parts)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             continue
         if len(parts) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 'timestamp taxel channel', got {raw!r}")
@@ -158,7 +164,7 @@ def load_event_file(path) -> EventStream:
             channels.append(int(parts[2]))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        n, c = int(header.get("taxels", 0)), int(header.get("channels", 0))
+        n, c = header.get("taxels", 0), header.get("channels", 0)
         if not header.keys() >= {"taxels", "channels", "duration"}:
             raise DataFormatError(f"{path}:{lineno}: event before complete header")
         if not 0 <= taxels[-1] < n:
@@ -172,8 +178,8 @@ def load_event_file(path) -> EventStream:
         raise DataFormatError(f"{path}: missing header line(s): {', '.join(sorted(missing))}")
     return EventStream(np.array(times), np.array(taxels), np.array(channels),
                        duration=header["duration"],
-                       num_taxels=int(header["taxels"]),
-                       num_channels=int(header["channels"]))
+                       num_taxels=header["taxels"],
+                       num_channels=header["channels"])
 
 
 def write_event_file(stream: EventStream, path) -> None:

@@ -91,10 +91,6 @@ class TactileGraph:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def average_degree(graph: TactileGraph) -> float:
-    return graph.average_degree()
-
-
 def _canonical_edges(edges, num_nodes, *, reject_self_loops=True) -> tuple[tuple[int, int], ...]:
     seen = set()
     for i, j in edges:
@@ -153,12 +149,9 @@ def knn_selections(layout: TaxelLayout, k: int) -> list[list[int]]:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
     dist = layout.distances()
-    out = []
-    for i in range(n):
-        order = sorted(j for j in range(n) if j != i)
-        order.sort(key=lambda j: dist[i, j])  # stable: index order breaks ties
-        out.append(order[:k])
-    return out
+    np.fill_diagonal(dist, np.inf)  # a node never selects itself
+    # stable: index order breaks ties
+    return np.argsort(dist, axis=1, kind="stable")[:, :k].tolist()
 
 
 def build_knn(layout: TaxelLayout, k: int, hops: int = DEFAULT_HOPS) -> TactileGraph:

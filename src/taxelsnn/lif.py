@@ -39,21 +39,9 @@ class LifConfig:
             raise ValueError("surrogate_width must be positive")
 
 
-@dataclass(frozen=True)
-class LifState:
-    """Membrane potentials and the previous step's binary outputs."""
-
-    membrane: np.ndarray
-    spikes: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape) -> "LifState":
-        return cls(np.zeros(shape), np.zeros(shape))
-
-
 def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray,
                     current: np.ndarray, cfg: LifConfig):
-    """Core recurrence shared by lif_step and the network forward pass.
+    """One timestep of the recurrence; ``model.lif_scan`` runs it over a window.
 
     Returns (u_new, fired_new). The reset branch selects u_reset exactly
     (no compensated arithmetic), so traces are bit-reproducible against a
@@ -63,17 +51,6 @@ def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray,
     u_new = cfg.beta * decayed_from + current
     fired = (u_new >= cfg.u_threshold).astype(np.float64)
     return u_new, fired
-
-
-def lif_step(state: LifState, input_current: np.ndarray, cfg: LifConfig) -> LifState:
-    """Advance one timestep; rejects non-finite input currents."""
-    current = np.asarray(input_current, dtype=np.float64)
-    if current.shape != state.membrane.shape:
-        raise ValueError(f"input shape {current.shape} != state shape {state.membrane.shape}")
-    if not np.all(np.isfinite(current)):
-        raise ValueError("input current contains non-finite values")
-    u, fired = membrane_update(state.membrane, state.spikes, current, cfg)
-    return LifState(u, fired)
 
 
 def surrogate_grad(u: np.ndarray, cfg: LifConfig) -> np.ndarray:

@@ -46,6 +46,9 @@ class NetworkConfig:
         if len(self.fc_sizes) == 0:
             raise ValueError("fc_sizes must be nonempty")
         object.__setattr__(self, "fc_sizes", tuple(int(s) for s in self.fc_sizes))
+        if self.tagconv_hops < 0 or self.feature_width < 1 or min(self.fc_sizes) < 1:
+            raise ValueError(f"need tagconv_hops >= 0 and layer sizes >= 1, got hops "
+                             f"{self.tagconv_hops}, widths {self.feature_width}, {self.fc_sizes}")
         if self.fc_sizes[-1] < self.num_classes:
             raise ValueError("last layer needs at least one neuron per class")
         if self.feature == "tagconv" and self.graph.hops < self.tagconv_hops:
@@ -63,6 +66,11 @@ class NetworkConfig:
         if self.feature == "tagconv":
             return self.graph.num_nodes * self.feature_width
         return self.feature_width
+
+
+def layer_names(cfg: NetworkConfig) -> list[str]:
+    """The spiking layers in forward order: feature, fc1, ..., fcL."""
+    return ["feature"] + [f"fc{i}" for i in range(1, len(cfg.fc_sizes) + 1)]
 
 
 def voting_matrix(num_classes: int, num_neurons: int) -> np.ndarray:
@@ -196,11 +204,14 @@ class ForwardTrace:
     x: np.ndarray                   # (T, N, C)
     propagated: np.ndarray          # tagconv: (T, K+1, N, C); mlp: (T, N*C)
     layers: list[LayerTrace] = field(default_factory=list)
-    relaxed: bool = False
 
     @property
     def outputs(self) -> np.ndarray:
         return self.layers[-1].out
+
+    def layer_input(self, li: int) -> np.ndarray:
+        """Input of layer ``li``: ``propagated`` for the feature layer, else the output below."""
+        return self.layers[li - 1].out if li else self.propagated
 
 
 def model_forward(model: Model, sample, relaxed: bool = False):
@@ -232,32 +243,29 @@ def model_forward(model: Model, sample, relaxed: bool = False):
         propagated = _propagate(x, cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
     else:
         propagated = x.reshape(t_steps, n * c)
-    layers = [_lif_scan(_feature_drive(model, propagated) + model.params["feature.b"],
-                        cfg.lif, relaxed)]
-    for i in range(1, len(cfg.fc_sizes) + 1):
-        below = layers[-1].out.reshape(t_steps, -1)
-        z = fc_forward(below, model.params[f"fc{i}.w"], model.params[f"fc{i}.b"])
-        layers.append(_lif_scan(z, cfg.lif, relaxed))
-    trace = ForwardTrace(x=x, propagated=propagated, layers=layers, relaxed=relaxed)
+    trace = ForwardTrace(x=x, propagated=propagated)
+    for li, name in enumerate(layer_names(cfg)):
+        z = _weighted_input(model, name, trace.layer_input(li)) + model.params[f"{name}.b"]
+        trace.layers.append(lif_scan(z, cfg.lif, relaxed))
     return trace.outputs, trace
 
 
-def _lif_scan(z: np.ndarray, lif: LifConfig, relaxed: bool) -> LayerTrace:
-    """One layer's membrane recurrence over the window, given its (T, ...) currents."""
-    layer = LayerTrace(u=np.empty_like(z), fired=np.empty_like(z), out=None)
-    u = fired = np.zeros(z.shape[1:])
-    for t in range(len(z)):
-        u, fired = membrane_update(u, fired, z[t], lif)
+def lif_scan(currents: np.ndarray, lif: LifConfig, relaxed: bool = False) -> LayerTrace:
+    """One layer's membrane recurrence over the window from rest, given its (T, ...) currents."""
+    layer = LayerTrace(u=np.empty_like(currents), fired=np.empty_like(currents), out=None)
+    u = fired = np.zeros(currents.shape[1:])
+    for t in range(len(currents)):
+        u, fired = membrane_update(u, fired, currents[t], lif)
         layer.u[t], layer.fired[t] = u, fired
     layer.out = relaxed_spike(layer.u, lif) if relaxed else layer.fired
     return layer
 
 
-def _feature_drive(model: Model, propagated: np.ndarray) -> np.ndarray:
-    """Feature-layer weighted input for every timestep, bias excluded."""
-    if model.config.feature == "tagconv":
-        return _tagconv_drive(propagated, model.params["feature.g"])
-    return propagated @ model.params["feature.w"].T
+def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
+    """Layer ``name``'s weighted input over the window, bias excluded; dense flattens ``below``."""
+    if name == "feature" and model.config.feature == "tagconv":
+        return _tagconv_drive(below, model.params["feature.g"])
+    return below.reshape(len(below), -1) @ model.params[f"{name}.w"].T
 
 
 def calibrate(model: Model, samples) -> None:
@@ -280,22 +288,17 @@ def calibrate(model: Model, samples) -> None:
     """
     cfg = model.config
     target = cfg.lif.u_threshold / 2.0
-    weights = ["feature.g" if cfg.feature == "tagconv" else "feature.w"]
-    weights += [f"fc{i}.w" for i in range(1, len(cfg.fc_sizes) + 1)]
-    for li, name in enumerate(weights):
+    for li, name in enumerate(layer_names(cfg)):
         drive = []
         for sample in samples:
             _, trace = model_forward(model, sample)
-            if li == 0:
-                drive.append(_feature_drive(model, trace.propagated).ravel())
-            else:
-                below = trace.layers[li - 1].out
-                drive.append((below.reshape(len(below), -1) @ model.params[name].T).ravel())
+            drive.append(_weighted_input(model, name, trace.layer_input(li)).ravel())
         std = float(np.concatenate(drive).std())
+        weight = "feature.g" if name == "feature" and cfg.feature == "tagconv" else f"{name}.w"
         if not np.isfinite(std):
-            raise ValueError(f"calibration samples give {name!r} a non-finite input")
+            raise ValueError(f"calibration samples give {weight!r} a non-finite input")
         if std > 0.0:
-            model.params[name] *= target / std
+            model.params[weight] *= target / std
 
 
 def vote(outputs: np.ndarray, voting: np.ndarray):
@@ -308,11 +311,6 @@ def vote(outputs: np.ndarray, voting: np.ndarray):
         raise ValueError("outputs must be (T, num_neurons) with T >= 1")
     scores = voting @ outputs.mean(axis=0)
     return scores, int(np.argmax(scores))
-
-
-def predict(model: Model, sample) -> int:
-    outputs, _ = model_forward(model, sample)
-    return vote(outputs, model.voting)[1]
 
 
 def _config_to_dict(cfg: NetworkConfig) -> dict:
@@ -369,7 +367,7 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load a checkpoint; validates graph hash and every tensor shape.
+    """Load a checkpoint; validates graph hash, every tensor shape and finiteness.
 
     Returns (model, extra_dict).
     """
@@ -388,9 +386,13 @@ def load_model(path):
             arr = np.asarray(zf[key], dtype=np.float64)
             if arr.shape != shape:
                 raise DataFormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise DataFormatError(f"tensor {name!r} holds non-finite values")
             params[name] = arr
         voting = np.asarray(zf["voting"], dtype=np.float64)
         if voting.shape != (cfg.num_classes, cfg.num_output_neurons):
             raise DataFormatError(f"voting matrix shape {voting.shape} does not match config")
+        if not np.all(np.isfinite(voting)):
+            raise DataFormatError("voting matrix holds non-finite values")
         extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
     return Model(cfg, params, voting), extra

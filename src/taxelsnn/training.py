@@ -22,14 +22,13 @@ import numpy as np
 
 from .lif import surrogate_grad
 from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, hop_major,
-                    init_model, model_forward, vote)
+                    init_model, layer_names, model_forward, vote)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
-    batch_size: int = 1
     rounds: int = 10
     split_fraction: float = 0.8
     seed: int = 0
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and rounds >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
-        if self.batch_size != 1:
-            raise ValueError("only batch_size=1 is supported")
 
 
 @dataclass
@@ -121,26 +118,17 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
     dout = np.tile((2.0 / t_steps) * (model.voting.T @ (scores - y)), (t_steps, 1))
 
     grads: dict[str, np.ndarray] = {}
-    num_fc = len(cfg.fc_sizes)
-    for li in range(num_fc, 0, -1):
-        layer = trace.layers[li]
-        dz = _lif_backward_scan(dout, layer, lif)
-        below = trace.layers[li - 1].out
-        below_flat = below.reshape(t_steps, -1)
-        grads[f"fc{li}.w"] = dz.T @ below_flat
-        grads[f"fc{li}.b"] = dz.sum(axis=0)
-        dout = dz @ model.params[f"fc{li}.w"]
-        if li == 1:
-            dout = dout.reshape(below.shape)
-
-    dz_feat = _lif_backward_scan(dout, trace.layers[0], lif)
-    if cfg.feature == "tagconv":
-        dg = hop_major(trace.propagated).T @ dz_feat.reshape(-1, cfg.feature_width)
-        grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
-        grads["feature.b"] = dz_feat.sum(axis=(0, 1))
-    else:
-        grads["feature.w"] = dz_feat.T @ trace.propagated
-        grads["feature.b"] = dz_feat.sum(axis=0)
+    for li, name in reversed(list(enumerate(layer_names(cfg)))):
+        dz = _lif_backward_scan(dout, trace.layers[li], lif)
+        below = trace.layer_input(li)
+        if name == "feature" and cfg.feature == "tagconv":
+            dg = hop_major(below).T @ dz.reshape(-1, cfg.feature_width)
+            grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
+        else:
+            grads[f"{name}.w"] = dz.T @ below.reshape(t_steps, -1)
+        grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
+        if li:
+            dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)
     return grads
 
 

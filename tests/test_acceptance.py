@@ -13,8 +13,8 @@ from taxelsnn import (NetworkConfig, TrainConfig, backward, build_knn, build_mst
                       generate_synthetic, init_model, load_samples, model_forward,
                       one_hot, radial_layout, voting_loss)
 from taxelsnn.graphs import adjacency_powers, normalize_adjacency
-from taxelsnn.lif import LifConfig, LifState, lif_step
-from taxelsnn.model import tagconv_forward, voting_matrix
+from taxelsnn.lif import LifConfig
+from taxelsnn.model import lif_scan, tagconv_forward, voting_matrix
 from taxelsnn.training import run_rounds, summarize_rounds, format_mean_std
 from taxelsnn.cli import main
 
@@ -114,11 +114,10 @@ def test_criterion_5_lif_trace_oracle():
         spikes_in = (rng.random((150, weights.size)) < 0.4).astype(np.float64)
         currents = spikes_in @ weights
         expected = scalar_lif_reference(currents, cfg)
-        state = LifState.zeros(1)
-        for step, current in enumerate(currents):
-            state = lif_step(state, np.array([current]), cfg)
-            assert state.membrane[0] == expected[step][0]
-            assert state.spikes[0] == expected[step][1]
+        layer = lif_scan(currents[:, None], cfg)
+        for step in range(len(currents)):
+            assert layer.u[step, 0] == expected[step][0]
+            assert layer.fired[step, 0] == expected[step][1]
     report(5, t0, "100 random sequences bit-exact against the scalar simulator")
 
 

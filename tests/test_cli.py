@@ -134,7 +134,9 @@ def test_train_missing_manifest_is_data_error(capsys, synth_dir):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x"])
+@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x", "bin_width 0",
+                                 "bin_width -0.02", "bin_width nan", "bin_width inf",
+                                 "taxels 39.7"])
 def test_train_bad_manifest_header_is_data_error(capsys, synth_dir, tmp_path, bad):
     lines = (synth_dir / "manifest.txt").read_text().splitlines()
     key = bad.split()[0]
@@ -145,6 +147,20 @@ def test_train_bad_manifest_header_is_data_error(capsys, synth_dir, tmp_path, ba
                        "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"))
     assert code == 2
     assert f"{manifest}:{lines.index(bad) + 1}:" in err
+
+
+def test_readme_quickstart_with_relative_paths(tmp_path, monkeypatch, capsys):
+    # the README's synth -> train -> eval, with relative paths and a tiny size
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "runs/demo-data", "--classes", "2",
+                 "--samples-per-class", "4", "--duration", "0.2", "--noise-rate", "5.0",
+                 "--seed", "0"]) == 0
+    assert main(["train", "--layout", "runs/demo-data/layout.txt",
+                 "--manifest", "runs/demo-data/manifest.txt",
+                 "--method", "knn", "--k", "2", "--feature-width", "2", "--fc-sizes", "4,4",
+                 "--epochs", "1", "--rounds", "1", "--seed", "0", "--out-dir", "runs/demo"]) == 0
+    assert main(["eval", "--checkpoint", "runs/demo/round01_model.npz",
+                 "--manifest", "runs/demo-data/manifest.txt"]) == 0
 
 
 def test_train_requires_paths(capsys):

@@ -130,7 +130,9 @@ def test_manifest_missing_header(tmp_path):
         load_manifest(tmp_path / "manifest.txt")
 
 
-@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x"])
+@pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x", "bin_width 0",
+                                 "bin_width -0.02", "bin_width nan", "bin_width inf",
+                                 "taxels 39.7"])
 def test_manifest_bad_header_value_names_file_and_line(tmp_path, bad):
     key = bad.split()[0]
     good = ["# header", "taxels 2", "channels 1", "bin_width 0.02", "classes a b"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taxelsnn import DataFormatError, EventStream, SpikeTensor, bin_events, load_event_file, write_event_file
-from taxelsnn.events import bin_centers_stream, num_bins
+from taxelsnn.events import num_bins
 
 
 def make_stream(times, taxels, channels, duration=1.0, n=4, c=2):
@@ -80,7 +80,8 @@ def test_binning_idempotent_on_bin_centers(seed):
     rng = np.random.default_rng(seed)
     data = (rng.random((10, 4, 2)) < 0.3).astype(np.uint8)
     tensor = SpikeTensor(data, 0.02)
-    rebinned = bin_events(bin_centers_stream(tensor), 0.02)
+    t_idx, n_idx, c_idx = np.nonzero(tensor.data)   # one event at the centre of each set cell
+    rebinned = bin_events(make_stream((t_idx + 0.5) * 0.02, n_idx, c_idx, duration=10 * 0.02), 0.02)
     np.testing.assert_array_equal(rebinned.data, tensor.data)
 
 
@@ -142,6 +143,14 @@ def test_wire_format_errors_name_the_line(tmp_path):
     path.write_text("taxels 3\nchannels 1\n0.5 0 0\n")
     with pytest.raises(DataFormatError, match="header"):
         load_event_file(path)
+
+    good = ["taxels 3", "channels 1", "duration 1.0", "0.5 0 0"]
+    for bad in ["duration inf", "duration -1", "taxels 39.7"]:
+        lines = [bad if line.split()[0] == bad.split()[0] else line for line in good]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"bad\.events:{lines.index(bad) + 1}: {bad.split()[0]}"):
+            load_event_file(path)
 
 
 def test_wire_format_missing_file():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxelsnn import LifConfig, LifState, lif_step, relaxed_spike, surrogate_grad
+from taxelsnn import LifConfig, lif_scan, relaxed_spike, surrogate_grad
 
 CFG = LifConfig()  # beta 0.2, threshold 0.5, reset 0, width 0.5
 
@@ -30,39 +30,24 @@ def test_config_validation():
 
 
 def test_step_decay_below_threshold():
-    state = LifState(np.array([0.4]), np.array([0.0]))
-    new = lif_step(state, np.array([0.2]), CFG)
-    assert new.membrane[0] == pytest.approx(0.2 * 0.4 + 0.2)  # 0.28
-    assert new.spikes[0] == 0.0
+    layer = lif_scan(np.array([[0.4], [0.2]]), CFG)
+    assert layer.u[0, 0] == 0.4 and layer.fired[0, 0] == 0.0
+    assert layer.u[1, 0] == pytest.approx(0.2 * 0.4 + 0.2)  # 0.28
+    assert layer.fired[1, 0] == 0.0
 
 
 def test_step_crossing_fires_then_decays_from_reset():
-    state = LifState(np.array([0.3]), np.array([0.0]))
-    new = lif_step(state, np.array([0.5]), CFG)
-    assert new.membrane[0] == pytest.approx(0.56)
-    assert new.spikes[0] == 1.0
-    after = lif_step(new, np.array([0.1]), CFG)
+    layer = lif_scan(np.array([[0.3], [0.5], [0.1]]), CFG)
+    assert layer.u[1, 0] == pytest.approx(0.56)
+    assert layer.fired[1, 0] == 1.0
     # decay restarts from u_reset = 0, not from 0.56
-    assert after.membrane[0] == pytest.approx(0.2 * 0.0 + 0.1)
+    assert layer.u[2, 0] == pytest.approx(0.2 * 0.0 + 0.1)
 
 
 def test_zero_input_stays_silent():
-    state = LifState.zeros(3)
-    for _ in range(10):
-        state = lif_step(state, np.zeros(3), CFG)
-    assert np.all(state.membrane == 0.0)
-    assert np.all(state.spikes == 0.0)
-
-
-def test_step_rejects_nonfinite_input():
-    state = LifState.zeros(2)
-    with pytest.raises(ValueError, match="non-finite"):
-        lif_step(state, np.array([0.1, np.inf]), CFG)
-
-
-def test_step_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        lif_step(LifState.zeros(2), np.zeros(3), CFG)
+    layer = lif_scan(np.zeros((10, 3)), CFG)
+    assert np.all(layer.u == 0.0)
+    assert np.all(layer.fired == 0.0)
 
 
 def test_matches_scalar_reference_bit_exactly(rng):
@@ -71,11 +56,10 @@ def test_matches_scalar_reference_bit_exactly(rng):
         spikes_in = (rng.random((100, 4)) < 0.4).astype(np.float64)
         currents = spikes_in @ weights
         expected = scalar_lif_reference(currents, CFG)
-        state = LifState.zeros(1)
-        for t, c in enumerate(currents):
-            state = lif_step(state, np.array([c]), CFG)
-            assert state.membrane[0] == expected[t][0]  # bit-exact
-            assert state.spikes[0] == expected[t][1]
+        layer = lif_scan(currents[:, None], CFG)
+        for t in range(len(currents)):
+            assert layer.u[t, 0] == expected[t][0]  # bit-exact
+            assert layer.fired[t, 0] == expected[t][1]
 
 
 def test_surrogate_hand_values():
@@ -131,24 +115,20 @@ def test_membrane_bounded_without_spike(seed):
     # beta * u_threshold + M
     rng = np.random.default_rng(seed)
     m = 0.6
-    state = LifState.zeros(5)
-    for _ in range(50):
-        state = lif_step(state, rng.uniform(-m, m, size=5), CFG)
-        assert np.all(state.membrane <= CFG.beta * CFG.u_threshold + m + 1e-12)
+    layer = lif_scan(rng.uniform(-m, m, size=(50, 5)), CFG)
+    assert np.all(layer.u <= CFG.beta * CFG.u_threshold + m + 1e-12)
 
 
 @given(st.integers(0, 100))
 @settings(max_examples=30, deadline=None)
 def test_reset_correctness_and_binary_outputs(seed):
     rng = np.random.default_rng(seed)
-    state = LifState.zeros(4)
-    for _ in range(60):
-        prev = state
-        current = rng.uniform(-0.3, 0.9, size=4)
-        state = lif_step(state, current, CFG)
-        assert set(np.unique(state.spikes)) <= {0.0, 1.0}
-        fired_before = prev.spikes == 1.0
+    currents = rng.uniform(-0.3, 0.9, size=(60, 4))
+    layer = lif_scan(currents, CFG)
+    assert set(np.unique(layer.fired)) <= {0.0, 1.0}
+    for t in range(1, len(currents)):
+        fired_before = layer.fired[t - 1] == 1.0
         # wherever the previous step fired, decay starts from u_reset
         np.testing.assert_array_equal(
-            state.membrane[fired_before],
-            (CFG.beta * CFG.u_reset + current)[fired_before])
+            layer.u[t][fired_before],
+            (CFG.beta * CFG.u_reset + currents[t])[fired_before])

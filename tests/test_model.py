@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from taxelsnn import (LifConfig, NetworkConfig, TaxelLayout, build_knn, build_manual,
-                      calibrate, fc_forward, init_model, load_model, model_forward,
-                      save_model, tagconv_forward, vote, voting_matrix)
+from taxelsnn import (DataFormatError, LifConfig, NetworkConfig, TaxelLayout, build_knn,
+                      build_manual, calibrate, fc_forward, init_model, load_model,
+                      model_forward, save_model, tagconv_forward, vote, voting_matrix)
 from taxelsnn.graphs import adjacency_powers, normalize_adjacency
 from taxelsnn.model import Model, param_shapes
 
@@ -431,6 +431,15 @@ def test_checkpoint_missing_tensor(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_rejects_nonfinite_tensor(tmp_path):
+    model = init_model(small_config(), seed=9)
+    model.params["fc2.w"][1, 2] = np.nan
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with pytest.raises(DataFormatError, match="fc2.w.*non-finite"):
+        load_model(path)
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nope.npz")
@@ -448,6 +457,10 @@ def test_network_config_validation(layout39):
         NetworkConfig(graph=graph, num_classes=2, feature="cnn")
     with pytest.raises(ValueError, match="powers"):
         NetworkConfig(graph=graph, num_classes=2, tagconv_hops=5)
+    for bad in ({"tagconv_hops": -1}, {"feature_width": 0}, {"fc_sizes": (0, 4)},
+                {"fc_sizes": (4, -1, 4)}):
+        with pytest.raises(ValueError, match="tagconv_hops >= 0 and layer sizes >= 1"):
+            NetworkConfig(graph=graph, num_classes=2, **bad)
 
 
 def test_param_shapes_and_init_bounds():

@@ -378,5 +378,3 @@ def test_train_config_validation():
         TrainConfig(split_fraction=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=4)
