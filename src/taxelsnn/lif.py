@@ -6,8 +6,9 @@ One step of the simplified membrane recurrence:
     fire  = u_new >= u_threshold
 
 i.e. the hard reset is folded into the next step's decay term: whenever the
-neuron fired, the decay restarts from the reset potential. Each step is a
-pure function of (state, input), so batched samples can run in parallel.
+neuron fired, the decay restarts from the reset potential. A step reads the
+previous state and its input and can write the new state into rows of the
+caller's trace, so ``model.lif_scan`` allocates nothing per step.
 
 Spikes are non-differentiable, so training substitutes a rectangular
 window for d(spike)/du: constant 1/a inside the open interval
@@ -39,26 +40,28 @@ class LifConfig:
             raise ValueError("surrogate_width must be positive")
 
 
-def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray,
-                    current: np.ndarray, cfg: LifConfig):
+def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray, current: np.ndarray,
+                    cfg: LifConfig, u_out=None, fired_out=None):
     """One timestep of the recurrence; ``model.lif_scan`` runs it over a window.
 
-    Returns (u_new, fired_new). The reset branch selects u_reset exactly
-    (no compensated arithmetic), so traces are bit-reproducible against a
-    scalar reference simulation.
+    Returns (u_new, fired_new), fired_new as a bool mask; they are written
+    into ``u_out`` and ``fired_out`` when given. Where the neuron fired, the
+    decay term is exactly beta * u_reset (no compensated arithmetic), so
+    traces are bit-reproducible against a scalar reference simulation.
     """
-    decayed_from = np.where(fired_prev > 0, cfg.u_reset, u_prev)
-    u_new = cfg.beta * decayed_from + current
-    fired = (u_new >= cfg.u_threshold).astype(np.float64)
-    return u_new, fired
+    u_new = np.multiply(cfg.beta, u_prev, out=u_out)
+    np.copyto(u_new, cfg.beta * cfg.u_reset, where=np.asarray(fired_prev, dtype=bool))
+    u_new += current
+    return u_new, np.greater_equal(u_new, cfg.u_threshold, out=fired_out)
 
 
 def surrogate_grad(u: np.ndarray, cfg: LifConfig) -> np.ndarray:
-    """Rectangular stand-in for d(spike)/du, with strict window edges."""
-    u = np.asarray(u, dtype=np.float64)
-    half = cfg.surrogate_width / 2.0
-    inside = np.abs(u - cfg.u_threshold) < half
-    return inside / cfg.surrogate_width
+    """Rectangular stand-in for d(spike)/du, with strict window edges; ``u`` is not modified."""
+    grad = np.subtract(np.asarray(u, dtype=np.float64), cfg.u_threshold)
+    np.abs(grad, out=grad)
+    np.less(grad, cfg.surrogate_width / 2.0, out=grad)   # 1.0 inside the window, else 0.0
+    grad /= cfg.surrogate_width
+    return grad
 
 
 def relaxed_spike(u: np.ndarray, cfg: LifConfig) -> np.ndarray:

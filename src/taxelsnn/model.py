@@ -228,6 +228,14 @@ def model_forward(model: Model, sample, relaxed: bool = False):
     threshold (kept binary so the recurrence stays piecewise constant and
     finite-difference checks see exactly what the backward pass computes).
     """
+    trace = ForwardTrace(*_feature_input(model, sample))
+    for li, name in enumerate(layer_names(model.config)):
+        trace.layers.append(_layer_forward(model, name, trace.layer_input(li), relaxed))
+    return trace.outputs, trace
+
+
+def _feature_input(model: Model, sample):
+    """The checked (T, N, C) sample and the feature layer's input: hops (tagconv) or flat (mlp)."""
     cfg = model.config
     x = np.asarray(getattr(sample, "data", sample), dtype=np.float64)
     if x.ndim != 3:
@@ -238,27 +246,25 @@ def model_forward(model: Model, sample, relaxed: bool = False):
     if n != cfg.graph.num_nodes or c != cfg.num_channels:
         raise ValueError(f"sample shape {x.shape[1:]} does not match "
                          f"(nodes={cfg.graph.num_nodes}, channels={cfg.num_channels})")
-
     if cfg.feature == "tagconv":
-        propagated = _propagate(x, cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
-    else:
-        propagated = x.reshape(t_steps, n * c)
-    trace = ForwardTrace(x=x, propagated=propagated)
-    for li, name in enumerate(layer_names(cfg)):
-        z = _weighted_input(model, name, trace.layer_input(li)) + model.params[f"{name}.b"]
-        trace.layers.append(lif_scan(z, cfg.lif, relaxed))
-    return trace.outputs, trace
+        return x, _propagate(x, cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
+    return x, x.reshape(t_steps, n * c)
+
+
+def _layer_forward(model: Model, name: str, below: np.ndarray, relaxed: bool = False):
+    """Layer ``name``'s currents from its input ``below``, then its membrane scan."""
+    z = _weighted_input(model, name, below) + model.params[f"{name}.b"]
+    return lif_scan(z, model.config.lif, relaxed)
 
 
 def lif_scan(currents: np.ndarray, lif: LifConfig, relaxed: bool = False) -> LayerTrace:
-    """One layer's membrane recurrence over the window from rest, given its (T, ...) currents."""
-    layer = LayerTrace(u=np.empty_like(currents), fired=np.empty_like(currents), out=None)
-    u = fired = np.zeros(currents.shape[1:])
+    """One layer's membrane recurrence from rest over its (T, ...) currents; step t writes row t."""
+    u, fired = np.empty_like(currents), np.empty(currents.shape, dtype=bool)
+    u_t, fired_t = np.zeros(currents.shape[1:]), np.zeros(currents.shape[1:], dtype=bool)
     for t in range(len(currents)):
-        u, fired = membrane_update(u, fired, currents[t], lif)
-        layer.u[t], layer.fired[t] = u, fired
-    layer.out = relaxed_spike(layer.u, lif) if relaxed else layer.fired
-    return layer
+        u_t, fired_t = membrane_update(u_t, fired_t, currents[t], lif, u[t], fired[t])
+    fired = fired.astype(np.float64)   # the steps write a bool mask; one cast per window
+    return LayerTrace(u=u, fired=fired, out=relaxed_spike(u, lif) if relaxed else fired)
 
 
 def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
@@ -271,13 +277,13 @@ def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
 def calibrate(model: Model, samples) -> None:
     """Data-driven per-layer weight scaling at initialization, in place.
 
-    Works through the layers in forward order. For each layer it runs
-    ``model_forward`` on the samples (with the layers below already
-    scaled) and multiplies that layer's weight tensor (``feature.g`` or
-    ``feature.w``, then ``fc{i}.w``) by one scalar so that the std of the
-    layer's weighted input, pooled over samples, timesteps and neurons,
-    equals u_threshold / 2. Membranes then reach the surrogate window,
-    where gradient flows, in every layer (Rossbroich, Gygax & Zenke 2022,
+    Works through the layers in forward order, one pass over the samples
+    per layer. It multiplies the layer's weight tensor (``feature.g`` or
+    ``feature.w``, then ``fc{i}.w``) by one scalar so that the std of its
+    weighted input, pooled over samples, timesteps and neurons, equals
+    u_threshold / 2, then runs the scaled layer to give the next layer's
+    inputs. Membranes then reach the surrogate window, where gradient
+    flows, in every layer (Rossbroich, Gygax & Zenke 2022,
     "Fluctuation-driven initialization for spiking neural network
     training"). Biases are left untouched, and a layer whose weighted
     input is all zero (its input never spiked) is left unscaled; a
@@ -288,17 +294,16 @@ def calibrate(model: Model, samples) -> None:
     """
     cfg = model.config
     target = cfg.lif.u_threshold / 2.0
-    for li, name in enumerate(layer_names(cfg)):
-        drive = []
-        for sample in samples:
-            _, trace = model_forward(model, sample)
-            drive.append(_weighted_input(model, name, trace.layer_input(li)).ravel())
-        std = float(np.concatenate(drive).std())
+    inputs = [_feature_input(model, sample)[1] for sample in samples]
+    for name in layer_names(cfg):
+        std = float(np.concatenate([_weighted_input(model, name, below).ravel()
+                                    for below in inputs]).std())
         weight = "feature.g" if name == "feature" and cfg.feature == "tagconv" else f"{name}.w"
         if not np.isfinite(std):
             raise ValueError(f"calibration samples give {weight!r} a non-finite input")
         if std > 0.0:
             model.params[weight] *= target / std
+        inputs = [_layer_forward(model, name, below).out for below in inputs]
 
 
 def vote(outputs: np.ndarray, voting: np.ndarray):
@@ -375,8 +380,13 @@ def load_model(path):
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with np.load(path, allow_pickle=False) as zf:
-        doc = json.loads(str(zf["config_json"]))
-        cfg = _config_from_dict(doc)
+        for key in ("config_json", "voting"):
+            if key not in zf:
+                raise DataFormatError(f"checkpoint {path} has no {key!r}")
+        try:
+            cfg = _config_from_dict(json.loads(str(zf["config_json"])))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"checkpoint {path}: malformed config_json ({exc!r})") from None
         expected = param_shapes(cfg)
         params = {}
         for name, shape in expected.items():

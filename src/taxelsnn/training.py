@@ -8,9 +8,11 @@ contributes a factor beta * (1 - fired_t) from step t+1 back to step t
 contributes the rectangular surrogate in place of the true, almost-
 everywhere-zero derivative. Layers decouple across time — emissions feed
 forward only within a timestep — so the backward pass is one reverse scan
-per layer plus batched matrix products for the weight gradients.
+per layer plus batched matrix products for the weight gradients. The scan
+forms the surrogate and reset factors for the whole window, then runs the
+recurrence in place in the same operation order as the per-step formula.
 
-Optimization is plain Adam with bias correction, one sample per step.
+Optimization is Adam with bias correction, in place, one sample per step.
 """
 from __future__ import annotations
 
@@ -90,14 +92,15 @@ def _lif_backward_scan(delta_out: np.ndarray, layer, lif) -> np.ndarray:
     output (downstream layers and the loss only — never the reset).
     Returns the gradient on the layer's input currents, shape == delta_out.
     """
-    sg = surrogate_grad(layer.u, lif)
-    dz = np.empty_like(delta_out)
-    du_next = np.zeros(delta_out.shape[1:])
-    for t in range(delta_out.shape[0] - 1, -1, -1):
-        # firing at step t gates the reset applied between t and t+1
-        du = delta_out[t] * sg[t] + lif.beta * (1.0 - layer.fired[t]) * du_next
-        dz[t] = du
-        du_next = du
+    dz = surrogate_grad(layer.u, lif)
+    dz *= delta_out
+    # firing at step t gates the reset applied between t and t+1
+    carry = np.subtract(1.0, layer.fired)
+    carry *= lif.beta
+    # dz[t] = dz[t] + carry[t] * dz[t+1], in place; at t = T-1 it adds carry * 0, so -0.0 -> +0.0
+    dz_next = np.zeros(dz.shape[1:])
+    for t in range(len(dz) - 1, -1, -1):
+        dz_next = np.add(dz[t], np.multiply(carry[t], dz_next, out=carry[t]), out=dz[t])
     return dz
 
 
@@ -137,6 +140,10 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    work: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = {k: (np.empty_like(m), np.empty_like(m)) for k, m in self.m.items()}
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -156,13 +163,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), each product in that order, in two work arrays
+        m, v, (num, denom) = state.m[name], state.v[name], state.work[name]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=num)
         v *= b2
-        v += (1.0 - b2) * g * g
-        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), eps, out=denom)
+        np.multiply(lr, np.divide(m, bc1, out=num), out=num)
+        params[name] -= np.divide(num, denom, out=num)
 
 
 def stratified_split(labels, fraction: float, seed: int):

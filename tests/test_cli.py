@@ -252,6 +252,24 @@ def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, 
     assert "graph hash" in err
 
 
+@pytest.mark.parametrize("damage", ["drop config_json", "drop voting", "config_json {oops",
+                                    "config_json {}"])
+def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, tmp_path, capsys):
+    with np.load(train_dir / "round01_model.npz", allow_pickle=False) as zf:
+        blobs = {k: zf[k] for k in zf.files}
+    action, key = damage.split(" ", 1)
+    if action == "drop":
+        del blobs[key]
+    else:
+        blobs["config_json"] = np.array(key)
+    damaged = tmp_path / "damaged.npz"
+    np.savez(damaged, **blobs)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(damaged),
+                       "--manifest", str(synth_dir / "manifest.txt"))
+    assert code == 2
+    assert err.startswith("data error:") and str(damaged) in err
+
+
 def test_help_exits_zero(capsys):
     code, stdout, _ = run(capsys, "--help")
     assert code == 0

@@ -70,6 +70,13 @@ def test_surrogate_hand_values():
     assert surrogate_grad(np.array([0.5 - 0.25]), CFG)[0] == 0.0
 
 
+def test_surrogate_edges_are_strict_to_the_last_bit():
+    u = np.array([np.nextafter(0.75, 0), np.nextafter(0.25, 1), 0.75, 0.25])
+    kept = u.copy()
+    assert surrogate_grad(u, CFG).tolist() == [2.0, 2.0, 0.0, 0.0]
+    np.testing.assert_array_equal(u, kept)
+
+
 def test_relaxed_hand_values():
     assert relaxed_spike(np.array([0.5]), CFG)[0] == pytest.approx(0.5)
     assert relaxed_spike(np.array([1.0]), CFG)[0] == 1.0
