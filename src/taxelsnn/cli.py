@@ -104,7 +104,7 @@ def _graph_spec_from(method, k, sigma_d, edges_path) -> GraphSpec:
 def cmd_graph(args) -> int:
     layout = load_layout(args.layout)
     spec = _graph_spec_from(args.method, args.k, args.sigma_d, args.edges)
-    graph = build_graph(layout, spec, hops=args.hops)
+    graph = build_graph(layout, spec)
     print(f"graph: {spec.describe()} nodes={graph.num_nodes} edges={graph.num_edges}")
     print(f"average degree: {graph.average_degree():.6f}")
     if spec.method == "knn":
@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
             f"layout has {layout.num_taxels} taxels but manifest declares "
             f"{manifest.num_taxels}")
     spec = _graph_spec_from(cfg.method, cfg.k, cfg.sigma_d, cfg.edges)
-    graph = build_graph(layout, spec, hops=max(cfg.hops, 1))
+    graph = build_graph(layout, spec)
     fc_sizes = tuple(int(s) for s in cfg.fc_sizes.split(",") if s.strip())
     net_config = NetworkConfig(
         graph=graph,
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--sigma-d", dest="sigma_d", type=float, default=0.0)
     p.add_argument("--edges", default="")
-    p.add_argument("--hops", type=int, default=2)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_graph)
 

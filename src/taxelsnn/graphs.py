@@ -4,9 +4,12 @@ Three distance-based constructions are provided: a manually authored edge
 list, k-nearest neighbors (union-symmetrized), and a Euclidean minimum
 spanning tree optionally densified with every pair closer than a distance
 threshold. All of them produce the same artifact: an undirected, simple
-graph together with its symmetric degree-normalized adjacency matrix
-D^(-1/2) A D^(-1/2) and the precomputed powers A^0..A^K consumed by the
-polynomial graph-convolution layer.
+graph, held as its node count and sorted edge list, from which the
+symmetric degree-normalized adjacency matrix D^(-1/2) A D^(-1/2) is
+derived. Graphs compare and hash by topology. The polynomial
+graph-convolution layer takes the powers A^0..A^K it needs from that
+matrix (``adjacency_powers``); K is a setting of the network, not of the
+graph.
 
 Determinism rules (needed for reproducible runs): kNN distance ties break
 toward the lower taxel index; Kruskal considers edges ordered by
@@ -15,14 +18,12 @@ toward the lower taxel index; Kruskal considers edges ordered by
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .layout import TaxelLayout
-
-DEFAULT_HOPS = 2
 
 
 @dataclass(frozen=True)
@@ -55,25 +56,20 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class TactileGraph:
-    """Undirected simple graph with normalized adjacency and its powers."""
+    """Undirected simple graph; the read-only normalized adjacency is derived from the edges."""
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]  # sorted, each (i, j) with i < j
-    adjacency_norm: np.ndarray
-    adjacency_powers: tuple[np.ndarray, ...]  # [I, A, ..., A^K]
+    adjacency_norm: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.adjacency_norm.setflags(write=False)
-        for p in self.adjacency_powers:
-            p.setflags(write=False)
+        a = normalize_adjacency(self.edges, self.num_nodes)
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency_norm", a)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def hops(self) -> int:
-        return len(self.adjacency_powers) - 1
 
     def average_degree(self) -> float:
         return 2.0 * len(self.edges) / self.num_nodes
@@ -91,16 +87,14 @@ class TactileGraph:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _canonical_edges(edges, num_nodes, *, reject_self_loops=True) -> tuple[tuple[int, int], ...]:
+def _canonical_edges(edges, num_nodes) -> tuple[tuple[int, int], ...]:
     seen = set()
     for i, j in edges:
         i, j = int(i), int(j)
         if not (0 <= i < num_nodes) or not (0 <= j < num_nodes):
             raise ValueError(f"edge ({i}, {j}) references a node outside 0..{num_nodes - 1}")
         if i == j:
-            if reject_self_loops:
-                raise ValueError(f"self-loop edge ({i}, {j}) is not allowed")
-            continue
+            raise ValueError(f"self-loop edge ({i}, {j}) is not allowed")
         seen.add((min(i, j), max(i, j)))
     return tuple(sorted(seen))
 
@@ -132,15 +126,9 @@ def adjacency_powers(matrix: np.ndarray, hops: int) -> tuple[np.ndarray, ...]:
     return tuple(powers)
 
 
-def _assemble(edges, num_nodes: int, hops: int) -> TactileGraph:
-    a = normalize_adjacency(edges, num_nodes)
-    return TactileGraph(num_nodes, tuple(edges), a, adjacency_powers(a, hops))
-
-
-def build_manual(layout: TaxelLayout, edges, hops: int = DEFAULT_HOPS) -> TactileGraph:
+def build_manual(layout: TaxelLayout, edges) -> TactileGraph:
     """Graph containing exactly the given edges, deduplicated and symmetrized."""
-    canon = _canonical_edges(edges, layout.num_taxels)
-    return _assemble(canon, layout.num_taxels, hops)
+    return TactileGraph(layout.num_taxels, _canonical_edges(edges, layout.num_taxels))
 
 
 def knn_selections(layout: TaxelLayout, k: int) -> list[list[int]]:
@@ -154,13 +142,13 @@ def knn_selections(layout: TaxelLayout, k: int) -> list[list[int]]:
     return np.argsort(dist, axis=1, kind="stable")[:, :k].tolist()
 
 
-def build_knn(layout: TaxelLayout, k: int, hops: int = DEFAULT_HOPS) -> TactileGraph:
+def build_knn(layout: TaxelLayout, k: int) -> TactileGraph:
     """Union-symmetrized kNN graph: edge kept if either endpoint selects the other."""
     pairs = set()
     for i, nbrs in enumerate(knn_selections(layout, k)):
         for j in nbrs:
             pairs.add((min(i, j), max(i, j)))
-    return _assemble(sorted(pairs), layout.num_taxels, hops)
+    return TactileGraph(layout.num_taxels, tuple(sorted(pairs)))
 
 
 class _UnionFind:
@@ -198,7 +186,7 @@ def minimum_spanning_tree(layout: TaxelLayout) -> list[tuple[int, int]]:
     return tree
 
 
-def build_mst(layout: TaxelLayout, sigma_d: float, hops: int = DEFAULT_HOPS) -> TactileGraph:
+def build_mst(layout: TaxelLayout, sigma_d: float) -> TactileGraph:
     """MST edges plus every pair strictly closer than sigma_d millimeters."""
     if sigma_d < 0:
         raise ValueError("sigma_d must be >= 0")
@@ -210,15 +198,15 @@ def build_mst(layout: TaxelLayout, sigma_d: float, hops: int = DEFAULT_HOPS) -> 
             for j in range(i + 1, n):
                 if dist[i, j] < sigma_d:
                     pairs.add((i, j))
-    return _assemble(sorted(pairs), n, hops)
+    return TactileGraph(n, tuple(sorted(pairs)))
 
 
-def build_graph(layout: TaxelLayout, spec: GraphSpec, hops: int = DEFAULT_HOPS) -> TactileGraph:
+def build_graph(layout: TaxelLayout, spec: GraphSpec) -> TactileGraph:
     if spec.method == "manual":
-        return build_manual(layout, spec.manual_edges, hops)
+        return build_manual(layout, spec.manual_edges)
     if spec.method == "knn":
-        return build_knn(layout, spec.k, hops)
-    return build_mst(layout, spec.sigma_d, hops)
+        return build_knn(layout, spec.k)
+    return build_mst(layout, spec.sigma_d)
 
 
 def export_graph(graph: TactileGraph, spec: GraphSpec, path) -> None:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .graphs import TactileGraph, adjacency_powers, normalize_adjacency
+from .graphs import TactileGraph, adjacency_powers
 from .lif import LifConfig, membrane_update, relaxed_spike
 
 FEATURE_KINDS = ("tagconv", "mlp")
@@ -51,11 +52,11 @@ class NetworkConfig:
                              f"{self.tagconv_hops}, widths {self.feature_width}, {self.fc_sizes}")
         if self.fc_sizes[-1] < self.num_classes:
             raise ValueError("last layer needs at least one neuron per class")
-        if self.feature == "tagconv" and self.graph.hops < self.tagconv_hops:
-            raise ValueError(
-                f"graph carries powers up to A^{self.graph.hops}, "
-                f"need {self.tagconv_hops}; rebuild the graph with more hops"
-            )
+
+    @cached_property
+    def hop_powers(self) -> tuple[np.ndarray, ...]:
+        """[I, A, ..., A^tagconv_hops] of the graph's normalized adjacency, derived once."""
+        return adjacency_powers(self.graph.adjacency_norm, self.tagconv_hops)
 
     @property
     def num_output_neurons(self) -> int:
@@ -247,7 +248,7 @@ def _feature_input(model: Model, sample):
         raise ValueError(f"sample shape {x.shape[1:]} does not match "
                          f"(nodes={cfg.graph.num_nodes}, channels={cfg.num_channels})")
     if cfg.feature == "tagconv":
-        return x, _propagate(x, cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1])
+        return x, _propagate(x, cfg.hop_powers)
     return x, x.reshape(t_steps, n * c)
 
 
@@ -335,17 +336,14 @@ def _config_to_dict(cfg: NetworkConfig) -> dict:
         "graph": {
             "num_nodes": cfg.graph.num_nodes,
             "edges": [list(e) for e in cfg.graph.edges],
-            "hops": cfg.graph.hops,
         },
         "graph_hash": cfg.graph.hash(),
     }
 
 
 def _config_from_dict(doc: dict) -> NetworkConfig:
-    gdoc = doc["graph"]
-    edges = tuple(tuple(e) for e in gdoc["edges"])
-    a = normalize_adjacency(edges, gdoc["num_nodes"])
-    graph = TactileGraph(gdoc["num_nodes"], edges, a, adjacency_powers(a, gdoc["hops"]))
+    gdoc = doc["graph"]   # a "hops" key, written by older versions, is ignored
+    graph = TactileGraph(gdoc["num_nodes"], tuple(tuple(e) for e in gdoc["edges"]))
     if graph.hash() != doc["graph_hash"]:
         raise DataFormatError(f"graph hash mismatch: checkpoint says {doc['graph_hash']}, "
                               f"rebuilt graph hashes to {graph.hash()}")
@@ -404,5 +402,10 @@ def load_model(path):
             raise DataFormatError(f"voting matrix shape {voting.shape} does not match config")
         if not np.all(np.isfinite(voting)):
             raise DataFormatError("voting matrix holds non-finite values")
-        extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
+        try:
+            extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
+        except json.JSONDecodeError:
+            extra = None
+        if not isinstance(extra, dict):
+            raise DataFormatError(f"checkpoint {path}: extra_json is not a JSON object")
     return Model(cfg, params, voting), extra

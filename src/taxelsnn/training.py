@@ -17,6 +17,7 @@ Optimization is Adam with bias correction, in place, one sample per step.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,9 @@ from .lif import surrogate_grad
 from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, hop_major,
                     init_model, layer_names, model_forward, vote)
 
+ADAM_BETAS = (0.9, 0.999)   # decay rates of Adam's first and second moments
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -34,8 +38,6 @@ class TrainConfig:
     rounds: int = 10
     split_fraction: float = 0.8
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     split_seed: int | None = None  # defaults to seed; rounds pin it so only init varies
 
     def __post_init__(self):
@@ -43,6 +45,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and rounds >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -152,14 +156,13 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+              state: AdamState, lr: float) -> None:
     """In-place Adam update with bias correction; rejects non-finite grads."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, g in grads.items():
@@ -169,7 +172,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m += np.multiply(1.0 - b1, g, out=num)
         v *= b2
         v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
-        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), eps, out=denom)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
         np.multiply(lr, np.divide(m, bc1, out=num), out=num)
         params[name] -= np.divide(num, denom, out=num)
 
@@ -247,8 +250,7 @@ def train(model: Model, dataset, cfg: TrainConfig):
             y = one_hot(int(train_labels[i]), num_classes)
             epoch_losses[pos] = voting_loss(outputs, model.voting, y)
             grads = backward(model, trace, y)
-            adam_step(model.params, grads, state, cfg.learning_rate,
-                      cfg.adam_betas, cfg.adam_eps)
+            adam_step(model.params, grads, state, cfg.learning_rate)
         test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
         metrics.epochs.append(epoch)
         metrics.train_loss.append(float(epoch_losses.mean()))

@@ -72,6 +72,12 @@ def test_graph_bad_method_is_usage_error(capsys):
     assert code == 1
 
 
+def test_graph_has_no_hops_flag(capsys):
+    code, _, err = run(capsys, "graph", "--layout", LAYOUT39, "--method", "knn", "--hops", "2")
+    assert code == 1
+    assert err.startswith("usage error:") and "--hops" in err
+
+
 def test_graph_missing_layout_is_data_error(capsys):
     code, _, err = run(capsys, "graph", "--layout", "nope.txt", "--method", "knn")
     assert code == 2
@@ -161,6 +167,17 @@ def test_readme_quickstart_with_relative_paths(tmp_path, monkeypatch, capsys):
                  "--epochs", "1", "--rounds", "1", "--seed", "0", "--out-dir", "runs/demo"]) == 0
     assert main(["eval", "--checkpoint", "runs/demo/round01_model.npz",
                  "--manifest", "runs/demo-data/manifest.txt"]) == 0
+
+
+@pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+def test_train_bad_learning_rate_is_usage_error(capsys, synth_dir, tmp_path, rate):
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--layout", str(synth_dir / "layout.txt"),
+                       "--manifest", str(synth_dir / "manifest.txt"), "--out-dir", str(out),
+                       "--epochs", "1", "--rounds", "1", "--learning-rate", rate)
+    assert code == 1
+    assert err.startswith("error:") and "learning_rate" in err
+    assert not out.exists()
 
 
 def test_train_requires_paths(capsys):
@@ -253,15 +270,15 @@ def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, 
 
 
 @pytest.mark.parametrize("damage", ["drop config_json", "drop voting", "config_json {oops",
-                                    "config_json {}"])
+                                    "config_json {}", "extra_json {oops", "extra_json 3"])
 def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, tmp_path, capsys):
     with np.load(train_dir / "round01_model.npz", allow_pickle=False) as zf:
         blobs = {k: zf[k] for k in zf.files}
-    action, key = damage.split(" ", 1)
+    action, value = damage.split(" ", 1)
     if action == "drop":
-        del blobs[key]
+        del blobs[value]
     else:
-        blobs["config_json"] = np.array(key)
+        blobs[action] = np.array(value)
     damaged = tmp_path / "damaged.npz"
     np.savez(damaged, **blobs)
     code, _, err = run(capsys, "eval", "--checkpoint", str(damaged),

@@ -16,8 +16,8 @@ included.
 import numpy as np
 import pytest
 
-from taxelsnn import (AdamState, NetworkConfig, adam_step, backward, build_knn, calibrate,
-                      init_model, model_forward, training)
+from taxelsnn import (AdamState, NetworkConfig, adam_step, adjacency_powers, backward,
+                      build_knn, calibrate, init_model, model_forward, training)
 from taxelsnn import model as tmodel
 from taxelsnn.layout import radial_layout
 from taxelsnn.lif import membrane_update, relaxed_spike
@@ -33,7 +33,7 @@ def time_major_forward(model, x, relaxed):
     """Per-layer (u, fired, out) arrays of shape (T, ...), stepping through time."""
     cfg = model.config
     p = model.params
-    powers = cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1]
+    powers = adjacency_powers(cfg.graph.adjacency_norm, cfg.tagconv_hops)
     fc = [(p[f"fc{i}.w"], p[f"fc{i}.b"]) for i in range(1, len(cfg.fc_sizes) + 1)]
     records, state = None, None
     for t in range(x.shape[0]):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxelsnn import (GraphSpec, TaxelLayout, adjacency_powers, build_knn,
+from taxelsnn import (GraphSpec, TactileGraph, TaxelLayout, adjacency_powers, build_knn,
                       build_manual, build_mst, normalize_adjacency)
 from taxelsnn.graphs import build_graph, export_graph, knn_selections, minimum_spanning_tree
 
@@ -246,10 +246,11 @@ def test_powers_match_naive_products(rng):
 
 
 def test_graph_powers_consistency(layout39):
-    g = build_mst(layout39, 2.0, hops=3)
+    g = build_mst(layout39, 2.0)
+    powers = adjacency_powers(g.adjacency_norm, 3)
     for k in range(4):
         np.testing.assert_allclose(
-            g.adjacency_powers[k], np.linalg.matrix_power(g.adjacency_norm, k), atol=1e-12)
+            powers[k], np.linalg.matrix_power(g.adjacency_norm, k), atol=1e-12)
 
 
 # --- degree summary, spec, export ---
@@ -271,6 +272,21 @@ def test_graph_hash_tracks_topology(layout39):
     g3 = build_knn(layout39, 2)
     assert g1.hash() == g2.hash()
     assert g1.hash() != g3.hash()
+
+
+def test_graphs_compare_and_hash_by_topology(layout39):
+    g1 = build_knn(layout39, 2)
+    g2 = build_knn(layout39, 2)
+    rebuilt = TactileGraph(g1.num_nodes, g1.edges)
+    assert g1 == g2 == rebuilt
+    assert hash(g1) == hash(g2) == hash(rebuilt)
+    assert len({g1, g2, rebuilt}) == 1
+    assert g1 != build_knn(layout39, 3)
+    assert g1 != build_mst(layout39, 0.0)
+    assert g1 != TactileGraph(g1.num_nodes + 1, g1.edges)
+    np.testing.assert_array_equal(rebuilt.adjacency_norm,
+                                  normalize_adjacency(g1.edges, g1.num_nodes))
+    assert not rebuilt.adjacency_norm.flags.writeable
 
 
 def test_graph_spec_validation():

@@ -64,7 +64,7 @@ def test_tagconv_identity_filter():
     coeff = np.zeros((1, 1, 1))
     coeff[0, 0, 0] = 1.0
     x = np.array([[1.0], [0.0]])
-    z = tagconv_forward(x, coeff, np.zeros(1), g.adjacency_powers[:1])
+    z = tagconv_forward(x, coeff, np.zeros(1), adjacency_powers(g.adjacency_norm, 0))
     np.testing.assert_allclose(z, x)
 
 
@@ -73,7 +73,7 @@ def test_tagconv_hop_one_propagates_across_edge():
     coeff = np.zeros((1, 1, 2))
     coeff[0, 0, 1] = 1.0  # pure hop-1 filter
     x = np.array([[1.0], [0.0]])
-    z = tagconv_forward(x, coeff, np.zeros(1), g.adjacency_powers[:2])
+    z = tagconv_forward(x, coeff, np.zeros(1), adjacency_powers(g.adjacency_norm, 1))
     np.testing.assert_allclose(z, [[0.0], [1.0]])
 
 
@@ -97,7 +97,7 @@ def test_tagconv_dimension_mismatch():
     g = two_node_graph()
     with pytest.raises(ValueError, match="inconsistent"):
         tagconv_forward(np.zeros((2, 3)), np.zeros((1, 1, 2)), np.zeros(1),
-                        g.adjacency_powers[:2])
+                        adjacency_powers(g.adjacency_norm, 1))
 
 
 def test_tagconv_linearity_with_zero_bias(rng):
@@ -107,9 +107,9 @@ def test_tagconv_linearity_with_zero_bias(rng):
     x1 = rng.standard_normal((2, 2))
     x2 = rng.standard_normal((2, 2))
     alpha = 1.7
-    lhs = tagconv_forward(alpha * x1 + x2, coeff, b, g.adjacency_powers[:2])
-    rhs = (alpha * tagconv_forward(x1, coeff, b, g.adjacency_powers[:2])
-           + tagconv_forward(x2, coeff, b, g.adjacency_powers[:2]))
+    lhs = tagconv_forward(alpha * x1 + x2, coeff, b, adjacency_powers(g.adjacency_norm, 1))
+    rhs = (alpha * tagconv_forward(x1, coeff, b, adjacency_powers(g.adjacency_norm, 1))
+           + tagconv_forward(x2, coeff, b, adjacency_powers(g.adjacency_norm, 1)))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -121,9 +121,9 @@ def test_tagconv_locality_respects_hop_limit():
     coeff = rng.standard_normal((1, 2, 3))
     b = rng.standard_normal(2)
     x = np.zeros((5, 1))
-    base = tagconv_forward(x, coeff, b, g.adjacency_powers)
+    base = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
     x[4, 0] = 1.0
-    bumped = tagconv_forward(x, coeff, b, g.adjacency_powers)
+    bumped = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
     np.testing.assert_array_equal(base[0], bumped[0])
     assert not np.allclose(base[4], bumped[4])
 
@@ -140,8 +140,8 @@ def test_tagconv_permutation_equivariance(rng):
     x = rng.standard_normal((6, 2))
     xp = np.empty_like(x)
     xp[perm] = x
-    out = tagconv_forward(x, coeff, b, g.adjacency_powers)
-    outp = tagconv_forward(xp, coeff, b, gp.adjacency_powers)
+    out = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
+    outp = tagconv_forward(xp, coeff, b, adjacency_powers(gp.adjacency_norm, 2))
     np.testing.assert_allclose(outp[perm], out, atol=1e-12)
 
 
@@ -266,7 +266,7 @@ def weighted_input_stds(model, samples):
         _, trace = model_forward(model, x)
         for t in range(x.shape[0]):
             if cfg.feature == "tagconv":
-                powers = cfg.graph.adjacency_powers[: cfg.tagconv_hops + 1]
+                powers = adjacency_powers(cfg.graph.adjacency_norm, cfg.tagconv_hops)
                 z = tagconv_forward(x[t], p["feature.g"], np.zeros(cfg.feature_width), powers)
             else:
                 z = fc_forward(x[t].ravel(), p["feature.w"], np.zeros(cfg.feature_width))
@@ -393,6 +393,31 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.voting, model.voting)
 
 
+def test_checkpoint_with_graph_hops_key_loads_identically(tmp_path):
+    import json
+    cfg = small_config()
+    path = tmp_path / "model.npz"
+    save_model(init_model(cfg, seed=9), path, extra={"round": 1})
+    with np.load(path, allow_pickle=False) as zf:
+        blobs = {k: zf[k] for k in zf.files}
+    doc = json.loads(str(blobs["config_json"]))
+    assert "hops" not in doc["graph"]
+    doc["graph"]["hops"] = 2   # the graph's own hop count, as older checkpoints stored it
+    blobs["config_json"] = np.array(json.dumps(doc))
+    older = tmp_path / "older.npz"
+    np.savez(older, **blobs)
+    new_model, _ = load_model(path)
+    old_model, extra = load_model(older)
+    assert extra == {"round": 1}
+    assert old_model.config == new_model.config == cfg
+    x = (np.random.default_rng(3).random((12, 4, 1)) < 0.5).astype(np.float64)
+    new_out, new_trace = model_forward(new_model, x)
+    old_out, old_trace = model_forward(old_model, x)
+    assert old_out.tobytes() == new_out.tobytes()
+    for old_layer, new_layer in zip(old_trace.layers, new_trace.layers):
+        assert old_layer.u.tobytes() == new_layer.u.tobytes()
+
+
 def test_checkpoint_rejects_tampered_graph_hash(tmp_path):
     import json
     model = init_model(small_config(), seed=9)
@@ -455,12 +480,23 @@ def test_network_config_validation(layout39):
         NetworkConfig(graph=graph, num_classes=2, fc_sizes=())
     with pytest.raises(ValueError, match="feature"):
         NetworkConfig(graph=graph, num_classes=2, feature="cnn")
-    with pytest.raises(ValueError, match="powers"):
-        NetworkConfig(graph=graph, num_classes=2, tagconv_hops=5)
     for bad in ({"tagconv_hops": -1}, {"feature_width": 0}, {"fc_sizes": (0, 4)},
                 {"fc_sizes": (4, -1, 4)}):
         with pytest.raises(ValueError, match="tagconv_hops >= 0 and layer sizes >= 1"):
             NetworkConfig(graph=graph, num_classes=2, **bad)
+
+
+def test_tagconv_hops_is_a_network_setting_only(layout39):
+    cfg = NetworkConfig(graph=build_knn(layout39, 2), num_classes=2, tagconv_hops=5,
+                        feature_width=2, fc_sizes=(4, 4))
+    assert len(cfg.hop_powers) == 6
+    for k, power in enumerate(cfg.hop_powers):
+        np.testing.assert_allclose(
+            power, np.linalg.matrix_power(cfg.graph.adjacency_norm, k), atol=1e-12)
+    x = (np.random.default_rng(0).random((5, 39, 2)) < 0.3).astype(np.float64)
+    outputs, trace = model_forward(init_model(cfg, seed=1), x)
+    assert outputs.shape == (5, 4)
+    assert trace.propagated.shape == (5, 6, 39, 2)
 
 
 def test_param_shapes_and_init_bounds():

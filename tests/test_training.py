@@ -378,3 +378,6 @@ def test_train_config_validation():
         TrainConfig(split_fraction=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
