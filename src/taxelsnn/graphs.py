@@ -63,6 +63,8 @@ class TactileGraph:
     adjacency_norm: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.edges != _canonical_edges(self.edges, self.num_nodes):
+            raise ValueError("edges must be sorted, distinct and each (i, j) with i < j")
         a = normalize_adjacency(self.edges, self.num_nodes)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency_norm", a)

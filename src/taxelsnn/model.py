@@ -383,7 +383,9 @@ def load_model(path):
                 raise DataFormatError(f"checkpoint {path} has no {key!r}")
         try:
             cfg = _config_from_dict(json.loads(str(zf["config_json"])))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except DataFormatError as exc:
+            raise DataFormatError(f"checkpoint {path}: {exc}") from None
+        except (ValueError, KeyError, TypeError) as exc:
             raise DataFormatError(f"checkpoint {path}: malformed config_json ({exc!r})") from None
         expected = param_shapes(cfg)
         params = {}

@@ -13,11 +13,21 @@ forms the surrogate and reset factors for the whole window, then runs the
 recurrence in place in the same operation order as the per-step formula.
 
 Optimization is Adam with bias correction, in place, one sample per step.
+
+``train`` keeps one helper thread for the work a step does not wait for.
+In ``backward`` the helper forms each FC layer's weight gradient
+``dz.T @ below`` while this thread sends the delta down (``dz @ W``) and
+scans the layers below; in ``adam_step`` it updates the first half (along
+axis 0) of every tensor while this thread updates the second. Each half
+runs the same numpy calls on the same operands, so the results are
+byte-identical to a serial step; called without an executor, both
+functions run their submitted calls in place. The helper calls numpy only.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,8 +118,25 @@ def _lif_backward_scan(delta_out: np.ndarray, layer, lif) -> np.ndarray:
     return dz
 
 
-def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the voting loss w.r.t. every trainable tensor."""
+class _InPlace(Executor):
+    """Runs each submitted call at once: ``backward`` and ``adam_step`` without a helper."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        done = Future()
+        done.set_result(fn(*args, **kwargs))
+        return done
+
+
+_IN_PLACE = _InPlace()
+
+
+def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray,
+             helper: Executor | None = None) -> dict[str, np.ndarray]:
+    """Gradients of the voting loss w.r.t. every trainable tensor.
+
+    Each FC layer's weight gradient is submitted to ``helper`` while this
+    thread goes on down the layers; every result is collected before return.
+    """
     if not trace.layers:
         raise ValueError("forward trace is empty; run model_forward first")
     cfg = model.config
@@ -119,12 +146,13 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
     y = np.asarray(label_onehot, dtype=np.float64)
     if y.shape != (cfg.num_classes,):
         raise ValueError(f"label must be one-hot of length {cfg.num_classes}")
+    helper = helper or _IN_PLACE
 
     scores = model.voting @ outputs.mean(axis=0)
     # d loss / d outputs[t] is constant over t: each step contributes 1/T
     dout = np.tile((2.0 / t_steps) * (model.voting.T @ (scores - y)), (t_steps, 1))
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | Future] = {}
     for li, name in reversed(list(enumerate(layer_names(cfg)))):
         dz = _lif_backward_scan(dout, trace.layers[li], lif)
         below = trace.layer_input(li)
@@ -132,11 +160,13 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
             dg = hop_major(below).T @ dz.reshape(-1, cfg.feature_width)
             grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
         else:
-            grads[f"{name}.w"] = dz.T @ below.reshape(t_steps, -1)
+            # the feature layer is last: nothing is left to overlap with its product
+            grads[f"{name}.w"] = (helper if li else _IN_PLACE).submit(
+                np.matmul, dz.T, below.reshape(t_steps, -1))
         grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
         if li:
             dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)
-    return grads
+    return {k: g.result() if isinstance(g, Future) else g for k, g in grads.items()}
 
 
 @dataclass
@@ -156,8 +186,12 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """In-place Adam update with bias correction; rejects non-finite grads."""
+              state: AdamState, lr: float, helper: Executor | None = None) -> None:
+    """In-place Adam update with bias correction; rejects non-finite grads.
+
+    ``helper`` updates the first half of every tensor along axis 0 while
+    this thread updates the second half.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
@@ -165,16 +199,26 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for name, g in grads.items():
-        # lr * (m / bc1) / (sqrt(v / bc2) + eps), each product in that order, in two work arrays
-        m, v, (num, denom) = state.m[name], state.v[name], state.work[name]
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=num)
-        v *= b2
-        v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
-        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
-        np.multiply(lr, np.divide(m, bc1, out=num), out=num)
-        params[name] -= np.divide(num, denom, out=num)
+
+    def update(first_half: bool) -> None:
+        for name, grad in grads.items():
+            part = np.s_[:len(grad) // 2] if first_half else np.s_[len(grad) // 2:]
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), each product in that order, in two work arrays
+            g, p, m, v = grad[part], params[name][part], state.m[name][part], state.v[name][part]
+            num, denom = (w[part] for w in state.work[name])
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=num)
+            v *= b2
+            v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
+            np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+            np.multiply(lr, np.divide(m, bc1, out=num), out=num)
+            p -= np.divide(num, denom, out=num)
+
+    first = (helper or _IN_PLACE).submit(update, True)
+    try:
+        update(False)
+    finally:
+        first.result()   # the helper writes into params: never return before it is done
 
 
 def stratified_split(labels, fraction: float, seed: int):
@@ -228,7 +272,9 @@ def train(model: Model, dataset, cfg: TrainConfig):
 
     Runs per-sample forward/backward/Adam over reshuffled training data
     each epoch, evaluating loss and accuracy on the held-out split after
-    every epoch. Returns (model, metrics, (train_idx, test_idx)).
+    every epoch. One helper thread, joined before return, takes the half of
+    each backward pass and Adam step that the step does not wait for.
+    Returns (model, metrics, (train_idx, test_idx)).
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     split_seed = cfg.seed if cfg.split_seed is None else cfg.split_seed
@@ -242,20 +288,21 @@ def train(model: Model, dataset, cfg: TrainConfig):
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng(cfg.seed)
     num_classes = model.config.num_classes
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_samples))
-        epoch_losses = np.empty(len(order))
-        for pos, i in enumerate(order):
-            outputs, trace = model_forward(model, train_samples[i])
-            y = one_hot(int(train_labels[i]), num_classes)
-            epoch_losses[pos] = voting_loss(outputs, model.voting, y)
-            grads = backward(model, trace, y)
-            adam_step(model.params, grads, state, cfg.learning_rate)
-        test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
-        metrics.epochs.append(epoch)
-        metrics.train_loss.append(float(epoch_losses.mean()))
-        metrics.test_loss.append(test_loss)
-        metrics.test_accuracy.append(test_acc)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(train_samples))
+            epoch_losses = np.empty(len(order))
+            for pos, i in enumerate(order):
+                outputs, trace = model_forward(model, train_samples[i])
+                y = one_hot(int(train_labels[i]), num_classes)
+                epoch_losses[pos] = voting_loss(outputs, model.voting, y)
+                grads = backward(model, trace, y, helper)
+                adam_step(model.params, grads, state, cfg.learning_rate, helper)
+            test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
+            metrics.epochs.append(epoch)
+            metrics.train_loss.append(float(epoch_losses.mean()))
+            metrics.test_loss.append(test_loss)
+            metrics.test_accuracy.append(test_acc)
     if cfg.epochs > 0:
         metrics.confusion = confusion_matrix(test_labels, test_preds, num_classes)
     return model, metrics, (train_idx, test_idx)

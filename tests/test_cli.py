@@ -270,13 +270,18 @@ def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, 
 
 
 @pytest.mark.parametrize("damage", ["drop config_json", "drop voting", "config_json {oops",
-                                    "config_json {}", "extra_json {oops", "extra_json 3"])
+                                    "config_json {}", "extra_json {oops", "extra_json 3",
+                                    "edge [0, 99]", "edge [-1, 2]"])
 def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, tmp_path, capsys):
     with np.load(train_dir / "round01_model.npz", allow_pickle=False) as zf:
         blobs = {k: zf[k] for k in zf.files}
     action, value = damage.split(" ", 1)
     if action == "drop":
         del blobs[value]
+    elif action == "edge":
+        doc = json.loads(str(blobs["config_json"]))
+        doc["graph"]["edges"].append(json.loads(value))
+        blobs["config_json"] = np.array(json.dumps(doc))
     else:
         blobs[action] = np.array(value)
     damaged = tmp_path / "damaged.npz"

@@ -11,17 +11,23 @@ is checked against the einsum it replaced.
 The in-place reverse scan, Adam update and one-pass calibration keep every
 product and sum of the per-step code they replaced, kept here as
 references, so their results must match it byte for byte, signed zeros
-included.
+included. So must ``train``, whose helper thread computes part of each
+backward pass and Adam step: it is compared with a serial loop built from
+those references.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from taxelsnn import (AdamState, NetworkConfig, adam_step, adjacency_powers, backward,
-                      build_knn, calibrate, init_model, model_forward, training)
+from taxelsnn import (AdamState, NetworkConfig, TrainConfig, adam_step, adjacency_powers,
+                      backward, build_knn, calibrate, init_model, model_forward, training)
 from taxelsnn import model as tmodel
-from taxelsnn.layout import radial_layout
+from taxelsnn.layout import load_layout, radial_layout
 from taxelsnn.lif import membrane_update, relaxed_spike
-from taxelsnn.model import fc_forward, layer_names, tagconv_forward
+from taxelsnn.model import fc_forward, hop_major, layer_names, tagconv_forward
+from tests.conftest import DATA_DIR
 
 T_STEPS = 120
 SAMPLES = 4
@@ -198,3 +204,111 @@ def test_one_pass_calibration_matches_per_layer_forwards(feature):
     per_layer_calibrate(reference, xs)
     for name, p in reference.params.items():
         assert model.params[name].tobytes() == p.tobytes(), name
+
+
+def reference_backward(model, trace, y):
+    """The gradients with the per-step scan and every product on this thread, in order."""
+    cfg = model.config
+    t_steps = trace.x.shape[0]
+    scores = model.voting @ trace.outputs.mean(axis=0)
+    dout = np.tile((2.0 / t_steps) * (model.voting.T @ (scores - y)), (t_steps, 1))
+    grads = {}
+    for li, name in reversed(list(enumerate(layer_names(cfg)))):
+        dz = per_step_backward_scan(dout, trace.layers[li], cfg.lif)
+        below = trace.layer_input(li)
+        if name == "feature" and cfg.feature == "tagconv":
+            dg = hop_major(below).T @ dz.reshape(-1, cfg.feature_width)
+            grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
+        else:
+            grads[f"{name}.w"] = dz.T @ below.reshape(t_steps, -1)
+        grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
+        if li:
+            dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)
+    return grads
+
+
+def reference_train(model, dataset, cfg):
+    """``train``'s split, shuffle and scoring as one serial loop over the references."""
+    labels = np.array([label for _, label in dataset])
+    train_idx, test_idx = training.stratified_split(labels, cfg.split_fraction, cfg.seed)
+    test = ([dataset[i][0] for i in test_idx], labels[test_idx])
+    eye = np.eye(model.config.num_classes)
+    m = {k: np.zeros_like(p) for k, p in model.params.items()}
+    v = {k: np.zeros_like(p) for k, p in model.params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    step, curves = 0, []
+    for _ in range(cfg.epochs):
+        losses = []
+        for i in rng.permutation(len(train_idx)):
+            x, label = dataset[train_idx[i]]
+            outputs, trace = model_forward(model, x)
+            losses.append(training.voting_loss(outputs, model.voting, eye[label]))
+            step += 1
+            expression_adam_step(model.params, reference_backward(model, trace, eye[label]),
+                                 m, v, step, cfg.learning_rate)
+        test_loss, test_acc, preds = training.evaluate(model, *test)
+        curves.append((float(np.mean(losses)), test_loss, test_acc))
+    return m, v, curves, training.confusion_matrix(test[1], preds, model.config.num_classes)
+
+
+@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
+def test_train_with_helper_matches_serial_reference(feature, monkeypatch):
+    model, xs = seeded_case(feature, seed=15)
+    rng = np.random.default_rng(15)
+    dataset = [((rng.random(xs[0].shape) < 0.05).astype(np.float64), label)
+               for label in range(model.config.num_classes) for _ in range(3)]
+    cfg = TrainConfig(epochs=2, rounds=1, seed=15)
+    reference = tmodel.Model(model.config, {k: p.copy() for k, p in model.params.items()},
+                             model.voting)
+    m, v, curves, confusion = reference_train(reference, dataset, cfg)
+
+    adam, calls = training.adam_step, []
+
+    def recording(params, grads, state, lr, helper=None):
+        calls.append((state, helper))
+        return adam(params, grads, state, lr, helper)
+
+    monkeypatch.setattr(training, "adam_step", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # hand the interpreter lock back and forth as often as it goes
+    try:
+        _, metrics, _ = training.train(model, dataset, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    state = calls[0][0]
+    assert all(isinstance(helper, ThreadPoolExecutor) for _, helper in calls)
+    assert state.step == len(calls) == 2 * 12
+    assert list(zip(metrics.train_loss, metrics.test_loss, metrics.test_accuracy)) == curves
+    assert metrics.confusion.tobytes() == confusion.tobytes()
+    for name, p in reference.params.items():
+        assert model.params[name].tobytes() == p.tobytes(), name
+        assert state.m[name].tobytes() == m[name].tobytes(), name
+        assert state.v[name].tobytes() == v[name].tobytes(), name
+    assert all(np.any(state.m[name] != 0.0) for name in m)
+
+
+def test_paper_shape_step_with_helper_matches_serial_reference():
+    """One step at the published scale: 39 taxels, T = 250, 64 features, FC 128/256."""
+    graph = build_knn(load_layout(DATA_DIR / "taxels39.txt"), 2)
+    model = init_model(NetworkConfig(graph=graph, num_classes=36, num_channels=2), seed=16)
+    rng = np.random.default_rng(16)
+    xs = [(rng.random((250, graph.num_nodes, 2)) < 0.05).astype(np.float64) for _ in range(3)]
+    calibrate(model, xs[:2])
+    params = {k: p.copy() for k, p in model.params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    state = AdamState.for_params(model.params)
+    y = np.eye(36)[7]
+    _, trace = model_forward(model, xs[2])
+    expected = reference_backward(model, trace, y)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        grads = backward(model, trace, y, helper)
+        adam_step(model.params, grads, state, 1e-3, helper)
+    expression_adam_step(params, expected, m, v, 1, 1e-3)
+    assert list(grads) == list(expected)
+    for name, g in expected.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+        assert np.any(g != 0.0), name
+        assert model.params[name].tobytes() == params[name].tobytes(), name
+        assert state.m[name].tobytes() == m[name].tobytes(), name
+        assert state.v[name].tobytes() == v[name].tobytes(), name

@@ -289,6 +289,14 @@ def test_graphs_compare_and_hash_by_topology(layout39):
     assert not rebuilt.adjacency_norm.flags.writeable
 
 
+@pytest.mark.parametrize("edges", [((0, 1), (0, 99)), ((0, 1), (-1, 2)), ((0, 1), (2, 2)),
+                                   ((1, 0),), ((1, 2), (0, 1)), ((0, 1), (0, 1))])
+def test_graph_rejects_noncanonical_edges(edges):
+    # out of range, negative (would wrap), self-loop, i > j, unsorted, duplicate
+    with pytest.raises(ValueError):
+        TactileGraph(4, edges)
+
+
 def test_graph_spec_validation():
     GraphSpec("knn", k=3)
     GraphSpec("mst", sigma_d=1.0)

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from taxelsnn import (AdamState, Metrics, NetworkConfig, TaxelLayout, TrainConfi
                       stratified_split, train, voting_loss, run_rounds, summarize_rounds)
 from taxelsnn.lif import surrogate_grad
 from taxelsnn.model import voting_matrix
+from taxelsnn import training
 from taxelsnn.training import evaluate, format_mean_std
 
 
@@ -178,6 +181,21 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(params, {"fc1.w": np.array([np.nan])}, state, lr=1e-3)
     assert state.step == 0  # rejected before any update
 
+    # one bad tensor among finite ones, on the helper-thread path: nothing moves
+    rng = np.random.default_rng(0)
+    params = {"fc1.w": rng.random((6, 5)), "fc1.b": rng.random(6), "fc2.w": rng.random((4, 6))}
+    state = AdamState.for_params(params)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        adam_step(params, {k: rng.random(p.shape) for k, p in params.items()}, state, 1e-3, helper)
+        kept = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        grads = {k: rng.random(p.shape) for k, p in params.items()}
+        grads["fc1.b"][3] = np.nan
+        with pytest.raises(ValueError, match="fc1.b"):
+            adam_step(params, grads, state, 1e-3, helper)
+    assert state.step == 1
+    for before, after in zip(kept, (params, state.m, state.v)):
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before)
+
 
 def test_adam_monotone_on_convex_quadratic():
     target = np.array([0.5, 0.3, -0.7])
@@ -267,6 +285,30 @@ def test_train_records_metrics_and_confusion():
     for cls in (0, 1):
         assert metrics.confusion[cls].sum() == (labels[test_idx] == cls).sum()
     assert len(train_idx) + len(test_idx) == len(data)
+
+
+def test_train_leaves_no_thread_running(monkeypatch):
+    graph, data = tiny_dataset()
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
+                        feature_width=2, fc_sizes=(4, 4))
+    before = set(threading.enumerate())
+    started = set()
+    adam = training.adam_step
+
+    def spying(*args):
+        started.update(set(threading.enumerate()) - before)
+        return adam(*args)
+
+    monkeypatch.setattr(training, "adam_step", spying)
+    train(init_model(net, seed=2), data, TrainConfig(epochs=2, rounds=1, seed=2))
+    poisoned = init_model(net, seed=2)
+    poisoned.params["fc2.w"][0, 0] = np.nan   # NaN reaches fc1's gradient through dz @ fc2.w
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        train(poisoned, data, TrainConfig(epochs=2, rounds=1, seed=2))
+    assert started   # the helper ran
+    for t in started:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
 
 
 def test_metrics_csv_format(tmp_path):
