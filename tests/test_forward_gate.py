@@ -270,7 +270,7 @@ def test_train_with_helper_matches_serial_reference(feature, monkeypatch):
 
     monkeypatch.setattr(training, "adam_step", recording)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # hand the interpreter lock back and forth as often as it goes
+    sys.setswitchinterval(1e-6)   # switch threads as often as possible, so a missed wait shows
     try:
         _, metrics, _ = training.train(model, dataset, cfg)
     finally:

@@ -10,8 +10,8 @@ from taxelsnn import (AdamState, Metrics, NetworkConfig, TaxelLayout, TrainConfi
                       generate_synthetic, init_model, load_samples, model_forward, one_hot,
                       stratified_split, train, voting_loss, run_rounds, summarize_rounds)
 from taxelsnn.lif import surrogate_grad
-from taxelsnn.model import voting_matrix
 from taxelsnn import training
+from taxelsnn.model import voting_matrix
 from taxelsnn.training import evaluate, format_mean_std
 
 
