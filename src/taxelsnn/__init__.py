@@ -9,8 +9,8 @@ from .model import (NetworkConfig, Model, init_model, calibrate, model_forward, 
                     vote, tagconv_forward, fc_forward, voting_matrix, save_model,
                     load_model)
 from .training import (TrainConfig, Metrics, voting_loss, backward, adam_step, AdamState,
-                       stratified_split, train, evaluate, confusion_matrix, run_rounds,
-                       summarize_rounds, one_hot)
+                       stratified_split, train, evaluate, confusion_matrix, run_round,
+                       run_rounds, summarize_rounds, one_hot)
 from .events import EventStream, SpikeTensor, bin_events, load_event_file, write_event_file
 from .datasets import DatasetManifest, load_manifest, write_manifest, load_samples, generate_synthetic
 

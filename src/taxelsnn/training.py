@@ -14,20 +14,19 @@ recurrence in place in the same operation order as the per-step formula.
 
 Optimization is Adam with bias correction, in place, one sample per step.
 
-``train`` keeps one helper thread for the work a step does not wait for.
-In ``backward`` the helper forms each FC layer's weight gradient
-``dz.T @ below`` while this thread sends the delta down (``dz @ W``) and
-scans the layers below; in ``adam_step`` it updates the first half (along
-axis 0) of every tensor while this thread updates the second. Each half
-runs the same numpy calls on the same operands, so the results are
-byte-identical to a serial step; called without an executor, both
-functions run their submitted calls in place. The helper calls numpy only.
+``run_rounds`` repeats the protocol over independently initialised rounds
+on one fixed split. The rounds share nothing but their inputs, so they run
+in parallel, one spawned worker process per usable core (the process's CPU
+affinity), each worker with one BLAS thread. ``run_round`` is one round
+as a function of its arguments alone: the workers run it, and with a
+single worker ``run_rounds`` runs it in this process.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,25 +117,8 @@ def _lif_backward_scan(delta_out: np.ndarray, layer, lif) -> np.ndarray:
     return dz
 
 
-class _InPlace(Executor):
-    """Runs each submitted call at once: ``backward`` and ``adam_step`` without a helper."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        done = Future()
-        done.set_result(fn(*args, **kwargs))
-        return done
-
-
-_IN_PLACE = _InPlace()
-
-
-def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray,
-             helper: Executor | None = None) -> dict[str, np.ndarray]:
-    """Gradients of the voting loss w.r.t. every trainable tensor.
-
-    Each FC layer's weight gradient is submitted to ``helper`` while this
-    thread goes on down the layers; every result is collected before return.
-    """
+def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the voting loss w.r.t. every trainable tensor."""
     if not trace.layers:
         raise ValueError("forward trace is empty; run model_forward first")
     cfg = model.config
@@ -146,13 +128,12 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray,
     y = np.asarray(label_onehot, dtype=np.float64)
     if y.shape != (cfg.num_classes,):
         raise ValueError(f"label must be one-hot of length {cfg.num_classes}")
-    helper = helper or _IN_PLACE
 
     scores = model.voting @ outputs.mean(axis=0)
     # d loss / d outputs[t] is constant over t: each step contributes 1/T
     dout = np.tile((2.0 / t_steps) * (model.voting.T @ (scores - y)), (t_steps, 1))
 
-    grads: dict[str, np.ndarray | Future] = {}
+    grads: dict[str, np.ndarray] = {}
     for li, name in reversed(list(enumerate(layer_names(cfg)))):
         dz = _lif_backward_scan(dout, trace.layers[li], lif)
         below = trace.layer_input(li)
@@ -160,13 +141,11 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray,
             dg = hop_major(below).T @ dz.reshape(-1, cfg.feature_width)
             grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
         else:
-            # the feature layer is last: nothing is left to overlap with its product
-            grads[f"{name}.w"] = (helper if li else _IN_PLACE).submit(
-                np.matmul, dz.T, below.reshape(t_steps, -1))
+            grads[f"{name}.w"] = dz.T @ below.reshape(t_steps, -1)
         grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
         if li:
             dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)
-    return {k: g.result() if isinstance(g, Future) else g for k, g in grads.items()}
+    return grads
 
 
 @dataclass
@@ -186,12 +165,8 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, helper: Executor | None = None) -> None:
-    """In-place Adam update with bias correction; rejects non-finite grads.
-
-    ``helper`` updates the first half of every tensor along axis 0 while
-    this thread updates the second half.
-    """
+              state: AdamState, lr: float) -> None:
+    """In-place Adam update with bias correction; rejects non-finite grads."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
@@ -199,26 +174,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-
-    def update(first_half: bool) -> None:
-        for name, grad in grads.items():
-            part = np.s_[:len(grad) // 2] if first_half else np.s_[len(grad) // 2:]
-            # lr * (m / bc1) / (sqrt(v / bc2) + eps), each product in that order, in two work arrays
-            g, p, m, v = grad[part], params[name][part], state.m[name][part], state.v[name][part]
-            num, denom = (w[part] for w in state.work[name])
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=num)
-            v *= b2
-            v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
-            np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
-            np.multiply(lr, np.divide(m, bc1, out=num), out=num)
-            p -= np.divide(num, denom, out=num)
-
-    first = (helper or _IN_PLACE).submit(update, True)
-    try:
-        update(False)
-    finally:
-        first.result()   # the helper writes into params: never return before it is done
+    for name, g in grads.items():
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), each product in that order, in two work arrays
+        m, v, (num, denom) = state.m[name], state.v[name], state.work[name]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=num)
+        v *= b2
+        v += np.multiply(np.multiply(1.0 - b2, g, out=num), g, out=num)
+        np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), ADAM_EPS, out=denom)
+        np.multiply(lr, np.divide(m, bc1, out=num), out=num)
+        params[name] -= np.divide(num, denom, out=num)
 
 
 def stratified_split(labels, fraction: float, seed: int):
@@ -272,9 +237,7 @@ def train(model: Model, dataset, cfg: TrainConfig):
 
     Runs per-sample forward/backward/Adam over reshuffled training data
     each epoch, evaluating loss and accuracy on the held-out split after
-    every epoch. One helper thread, joined before return, takes the half of
-    each backward pass and Adam step that the step does not wait for.
-    Returns (model, metrics, (train_idx, test_idx)).
+    every epoch. Returns (model, metrics, (train_idx, test_idx)).
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     split_seed = cfg.seed if cfg.split_seed is None else cfg.split_seed
@@ -288,21 +251,20 @@ def train(model: Model, dataset, cfg: TrainConfig):
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng(cfg.seed)
     num_classes = model.config.num_classes
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(train_samples))
-            epoch_losses = np.empty(len(order))
-            for pos, i in enumerate(order):
-                outputs, trace = model_forward(model, train_samples[i])
-                y = one_hot(int(train_labels[i]), num_classes)
-                epoch_losses[pos] = voting_loss(outputs, model.voting, y)
-                grads = backward(model, trace, y, helper)
-                adam_step(model.params, grads, state, cfg.learning_rate, helper)
-            test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
-            metrics.epochs.append(epoch)
-            metrics.train_loss.append(float(epoch_losses.mean()))
-            metrics.test_loss.append(test_loss)
-            metrics.test_accuracy.append(test_acc)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(train_samples))
+        epoch_losses = np.empty(len(order))
+        for pos, i in enumerate(order):
+            outputs, trace = model_forward(model, train_samples[i])
+            y = one_hot(int(train_labels[i]), num_classes)
+            epoch_losses[pos] = voting_loss(outputs, model.voting, y)
+            grads = backward(model, trace, y)
+            adam_step(model.params, grads, state, cfg.learning_rate)
+        test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
+        metrics.epochs.append(epoch)
+        metrics.train_loss.append(float(epoch_losses.mean()))
+        metrics.test_loss.append(test_loss)
+        metrics.test_accuracy.append(test_acc)
     if cfg.epochs > 0:
         metrics.confusion = confusion_matrix(test_labels, test_preds, num_classes)
     return model, metrics, (train_idx, test_idx)
@@ -315,11 +277,11 @@ class RoundResult:
     test_indices: np.ndarray
 
 
-def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
-    """Repeat train-and-test with fresh initialization per round.
+def run_round(dataset, net_config, cfg: TrainConfig, r: int) -> RoundResult:
+    """Round ``r`` (counted from 0) of the protocol, a function of its arguments alone.
 
     The data split stays fixed (seeded by cfg.seed); initialization and
-    shuffling vary with the round index. Before its first epoch, each
+    shuffling are seeded by ``cfg.seed + r``. Before its first epoch, the
     round's fresh model is passed through ``calibrate`` on
     ``CALIBRATION_SAMPLES`` training samples drawn under the round's seed
     (never the test split): the plain fan-in draw leaves the output layer
@@ -327,15 +289,81 @@ def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     train_idx, _ = stratified_split(labels, cfg.split_fraction, cfg.seed)
-    results = []
-    for r in range(cfg.rounds):
-        round_cfg = dataclasses.replace(cfg, seed=cfg.seed + r, split_seed=cfg.seed)
-        model = init_model(net_config, seed=round_cfg.seed)
-        picks = np.random.default_rng(round_cfg.seed).choice(
-            train_idx, size=min(CALIBRATION_SAMPLES, train_idx.size), replace=False)
-        calibrate(model, [dataset[i][0] for i in picks])
-        model, metrics, (_, test_idx) = train(model, dataset, round_cfg)
-        results.append(RoundResult(model, metrics, test_idx))
+    round_cfg = dataclasses.replace(cfg, seed=cfg.seed + r, split_seed=cfg.seed)
+    model = init_model(net_config, seed=round_cfg.seed)
+    picks = np.random.default_rng(round_cfg.seed).choice(
+        train_idx, size=min(CALIBRATION_SAMPLES, train_idx.size), replace=False)
+    calibrate(model, [dataset[i][0] for i in picks])
+    model, metrics, (_, test_idx) = train(model, dataset, round_cfg)
+    return RoundResult(model, metrics, test_idx)
+
+
+# BLAS reads its thread count once, as numpy loads, so a worker must inherit
+# it; one thread per worker keeps the workers from competing for the cores
+WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # the platform has no affinity call
+        return os.cpu_count() or 1
+
+
+def _start_worker(warning_filters) -> None:
+    """Round worker set-up: the caller's warning filters, and exit when the caller does."""
+    import multiprocessing.connection
+    import threading
+
+    # a warning the caller turns into an error fails the round here as it would there
+    warnings.resetwarnings()
+    warnings.filters[:] = warning_filters
+    parent = multiprocessing.parent_process().sentinel
+
+    def exit_with_parent():
+        multiprocessing.connection.wait([parent])
+        os._exit(1)   # the caller is gone (killed, say), and nobody is left to take the round
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
+    """``run_round`` for every round of ``cfg``, returned in round order.
+
+    The rounds run in parallel on ``min(cfg.rounds, usable cores)`` spawned
+    worker processes, each with one BLAS thread; with one worker they run
+    in this process, one after another. This process's environment is the
+    same afterwards. The first round to fail raises its exception here,
+    once every worker is stopped; the other rounds do not finish.
+    """
+    workers = min(cfg.rounds, _usable_cores())
+    if workers < 2:
+        return [run_round(dataset, net_config, cfg, r) for r in range(cfg.rounds)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    saved = {k: os.environ[k] for k in WORKER_BLAS_ENV if k in os.environ}
+    os.environ.update(WORKER_BLAS_ENV)   # workers start inside the pool's block
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_start_worker,
+                                 initargs=(warnings.filters,)) as pool:
+            rounds = {pool.submit(run_round, dataset, net_config, cfg, r): r
+                      for r in range(cfg.rounds)}
+            results = [None] * cfg.rounds
+            try:
+                for done in as_completed(rounds):
+                    results[rounds[done]] = done.result()
+            except BaseException:
+                # Stop every worker (the pool has no public call for it). Leaving
+                # the block then fails the rounds not yet done and joins the pool.
+                for worker in list(pool._processes.values()):
+                    worker.terminate()
+                raise
+    finally:
+        for k in WORKER_BLAS_ENV:
+            os.environ.pop(k, None)
+        os.environ.update(saved)
     return results
 
 

@@ -1,11 +1,19 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taxelsnn
 from taxelsnn import TaxelLayout, load_layout, radial_layout
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def package_env() -> dict:
+    """This process's environment, with the package under test first on the import path."""
+    paths = [str(Path(taxelsnn.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.fixture(scope="session")

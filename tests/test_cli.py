@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taxelsnn.cli import main, load_run_config, RunConfig
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, package_env
 
 LAYOUT39 = str(DATA_DIR / "taxels39.txt")
 
@@ -296,3 +298,13 @@ def test_help_exits_zero(capsys):
     code, stdout, _ = run(capsys, "--help")
     assert code == 0
     assert "graph" in stdout and "synth" in stdout
+
+
+def test_import_loads_no_process_pool():
+    # only run_rounds on two or more workers needs them; eval never does
+    probe = ("import sys, taxelsnn.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

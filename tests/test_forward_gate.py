@@ -11,13 +11,9 @@ is checked against the einsum it replaced.
 The in-place reverse scan, Adam update and one-pass calibration keep every
 product and sum of the per-step code they replaced, kept here as
 references, so their results must match it byte for byte, signed zeros
-included. So must ``train``, whose helper thread computes part of each
-backward pass and Adam step: it is compared with a serial loop built from
+included. So must ``train``: it is compared with a serial loop built from
 those references.
 """
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -252,7 +248,7 @@ def reference_train(model, dataset, cfg):
 
 
 @pytest.mark.parametrize("feature", ["tagconv", "mlp"])
-def test_train_with_helper_matches_serial_reference(feature, monkeypatch):
+def test_train_matches_serial_reference(feature, monkeypatch):
     model, xs = seeded_case(feature, seed=15)
     rng = np.random.default_rng(15)
     dataset = [((rng.random(xs[0].shape) < 0.05).astype(np.float64), label)
@@ -264,19 +260,13 @@ def test_train_with_helper_matches_serial_reference(feature, monkeypatch):
 
     adam, calls = training.adam_step, []
 
-    def recording(params, grads, state, lr, helper=None):
-        calls.append((state, helper))
-        return adam(params, grads, state, lr, helper)
+    def recording(params, grads, state, lr):
+        calls.append(state)
+        return adam(params, grads, state, lr)
 
     monkeypatch.setattr(training, "adam_step", recording)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads as often as possible, so a missed wait shows
-    try:
-        _, metrics, _ = training.train(model, dataset, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    state = calls[0][0]
-    assert all(isinstance(helper, ThreadPoolExecutor) for _, helper in calls)
+    _, metrics, _ = training.train(model, dataset, cfg)
+    state = calls[0]
     assert state.step == len(calls) == 2 * 12
     assert list(zip(metrics.train_loss, metrics.test_loss, metrics.test_accuracy)) == curves
     assert metrics.confusion.tobytes() == confusion.tobytes()
@@ -287,7 +277,7 @@ def test_train_with_helper_matches_serial_reference(feature, monkeypatch):
     assert all(np.any(state.m[name] != 0.0) for name in m)
 
 
-def test_paper_shape_step_with_helper_matches_serial_reference():
+def test_paper_shape_step_matches_serial_reference():
     """One step at the published scale: 39 taxels, T = 250, 64 features, FC 128/256."""
     graph = build_knn(load_layout(DATA_DIR / "taxels39.txt"), 2)
     model = init_model(NetworkConfig(graph=graph, num_classes=36, num_channels=2), seed=16)
@@ -301,9 +291,8 @@ def test_paper_shape_step_with_helper_matches_serial_reference():
     y = np.eye(36)[7]
     _, trace = model_forward(model, xs[2])
     expected = reference_backward(model, trace, y)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        grads = backward(model, trace, y, helper)
-        adam_step(model.params, grads, state, 1e-3, helper)
+    grads = backward(model, trace, y)
+    adam_step(model.params, grads, state, 1e-3)
     expression_adam_step(params, expected, m, v, 1, 1e-3)
     assert list(grads) == list(expected)
     for name, g in expected.items():

@@ -1,6 +1,15 @@
 import dataclasses
+import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+import warnings
+from multiprocessing.context import SpawnProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +17,13 @@ import pytest
 from taxelsnn import (AdamState, Metrics, NetworkConfig, TaxelLayout, TrainConfig,
                       adam_step, backward, build_knn, build_manual, confusion_matrix,
                       generate_synthetic, init_model, load_samples, model_forward, one_hot,
-                      stratified_split, train, voting_loss, run_rounds, summarize_rounds)
+                      stratified_split, train, voting_loss, run_round, run_rounds,
+                      summarize_rounds)
 from taxelsnn.lif import surrogate_grad
 from taxelsnn import training
 from taxelsnn.model import voting_matrix
 from taxelsnn.training import evaluate, format_mean_std
+from tests.conftest import package_env
 
 
 def one_neuron_chain_model():
@@ -181,17 +192,16 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(params, {"fc1.w": np.array([np.nan])}, state, lr=1e-3)
     assert state.step == 0  # rejected before any update
 
-    # one bad tensor among finite ones, on the helper-thread path: nothing moves
+    # one bad tensor among finite ones: nothing moves
     rng = np.random.default_rng(0)
     params = {"fc1.w": rng.random((6, 5)), "fc1.b": rng.random(6), "fc2.w": rng.random((4, 6))}
     state = AdamState.for_params(params)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        adam_step(params, {k: rng.random(p.shape) for k, p in params.items()}, state, 1e-3, helper)
-        kept = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
-        grads = {k: rng.random(p.shape) for k, p in params.items()}
-        grads["fc1.b"][3] = np.nan
-        with pytest.raises(ValueError, match="fc1.b"):
-            adam_step(params, grads, state, 1e-3, helper)
+    adam_step(params, {k: rng.random(p.shape) for k, p in params.items()}, state, 1e-3)
+    kept = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+    grads = {k: rng.random(p.shape) for k, p in params.items()}
+    grads["fc1.b"][3] = np.nan
+    with pytest.raises(ValueError, match="fc1.b"):
+        adam_step(params, grads, state, 1e-3)
     assert state.step == 1
     for before, after in zip(kept, (params, state.m, state.v)):
         assert all(before[k].tobytes() == after[k].tobytes() for k in before)
@@ -287,28 +297,17 @@ def test_train_records_metrics_and_confusion():
     assert len(train_idx) + len(test_idx) == len(data)
 
 
-def test_train_leaves_no_thread_running(monkeypatch):
+def test_train_leaves_no_thread_running():
     graph, data = tiny_dataset()
     net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
                         feature_width=2, fc_sizes=(4, 4))
     before = set(threading.enumerate())
-    started = set()
-    adam = training.adam_step
-
-    def spying(*args):
-        started.update(set(threading.enumerate()) - before)
-        return adam(*args)
-
-    monkeypatch.setattr(training, "adam_step", spying)
     train(init_model(net, seed=2), data, TrainConfig(epochs=2, rounds=1, seed=2))
     poisoned = init_model(net, seed=2)
     poisoned.params["fc2.w"][0, 0] = np.nan   # NaN reaches fc1's gradient through dz @ fc2.w
     with pytest.raises(ValueError, match="non-finite gradient"):
         train(poisoned, data, TrainConfig(epochs=2, rounds=1, seed=2))
-    assert started   # the helper ran
-    for t in started:
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+    assert set(threading.enumerate()) == before
 
 
 def test_metrics_csv_format(tmp_path):
@@ -409,6 +408,127 @@ def test_run_rounds_calibrates_on_training_split_only():
     for a, b in zip(first, second):
         for name, arr in a.model.params.items():
             np.testing.assert_array_equal(b.model.params[name], arr)
+
+
+# --- rounds on worker processes ---
+
+BLAS_VARS = sorted(training.WORKER_BLAS_ENV)
+
+
+def _alive(pid: int) -> bool:
+    """A process that has exited but is not yet reaped (a zombie) counts as gone."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.fixture()
+def pool_pids(monkeypatch):
+    """Run ``run_rounds`` on two workers whatever the box; records each worker's PID."""
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    pids, start = [], SpawnProcess.start
+
+    def recording(process):
+        start(process)
+        pids.append(process.pid)
+
+    monkeypatch.setattr(SpawnProcess, "start", recording)
+    # one variable set to another value, the others unset: both must come back as they were
+    monkeypatch.setenv(BLAS_VARS[0], "3")
+    for name in BLAS_VARS[1:]:
+        monkeypatch.delenv(name, raising=False)
+    return pids
+
+
+def assert_no_worker_left(pids, environ):
+    assert len(pids) == 2
+    assert multiprocessing.active_children() == []
+    assert not any(_alive(pid) for pid in pids)
+    assert dict(os.environ) == environ
+
+
+@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
+def test_run_rounds_on_workers_matches_in_process_rounds(feature, pool_pids, layout10, tmp_path):
+    manifest = generate_synthetic(tmp_path, layout10, num_classes=4, samples_per_class=5,
+                                  duration=1.0, bin_width=0.02, num_channels=2,
+                                  noise_rate=10.0, seed=5)
+    dataset = load_samples(manifest)
+    net = NetworkConfig(graph=build_knn(layout10, 2), num_classes=4, num_channels=2,
+                        feature=feature)
+    cfg = TrainConfig(epochs=2, rounds=3, seed=5)
+    environ = dict(os.environ)
+    pooled = run_rounds(dataset, net, cfg)
+    assert_no_worker_left(pool_pids, environ)
+    for r, result in enumerate(pooled):
+        expected = run_round(dataset, net, cfg, r)
+        assert list(result.model.params) == list(expected.model.params)
+        for name, p in expected.model.params.items():
+            assert result.model.params[name].tobytes() == p.tobytes(), (r, name)
+        assert result.model.voting.tobytes() == expected.model.voting.tobytes()
+        assert result.metrics.csv_lines() == expected.metrics.csv_lines()
+        assert result.metrics.confusion.tobytes() == expected.metrics.confusion.tobytes()
+        assert result.test_indices.tobytes() == expected.test_indices.tobytes()
+    assert pooled[0].metrics.csv_lines() != pooled[1].metrics.csv_lines()
+
+
+# a NaN sample fails calibration; an overflow fails it through the caller's warning filter
+@pytest.mark.parametrize("scale, error, message", [(np.nan, ValueError, "non-finite input"),
+                                                   (1e300, RuntimeWarning, "overflow")])
+def test_run_rounds_failing_round_raises_and_leaves_no_worker(scale, error, message, pool_pids):
+    graph, data = tiny_dataset()
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
+                        feature_width=2, fc_sizes=(4, 4))
+    cfg = TrainConfig(epochs=2, rounds=4, seed=2)
+    data = [(x * scale, label) for x, label in data]
+    environ = dict(os.environ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=message) as in_process:
+            run_round(data, net, cfg, 0)
+        with pytest.raises(error) as pooled:
+            run_rounds(data, net, cfg)
+    assert str(pooled.value) == str(in_process.value)
+    assert_no_worker_left(pool_pids, environ)
+
+
+KILLED_PARENT = """
+import multiprocessing, threading, time
+import numpy as np
+from taxelsnn import NetworkConfig, TaxelLayout, TrainConfig, build_knn, training
+
+def report_workers():
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+training._usable_cores = lambda: 2
+rng = np.random.default_rng(0)
+graph = build_knn(TaxelLayout(rng.random((4, 2))), 2)
+data = [((rng.random((6, 4, 1)) < 0.5).astype(float), c) for c in (0, 1) for _ in range(4)]
+net = NetworkConfig(graph=graph, num_classes=2, num_channels=1, feature_width=2, fc_sizes=(4, 4))
+threading.Thread(target=report_workers, daemon=True).start()
+training.run_rounds(data, net, TrainConfig(epochs=10**6, rounds=2))
+"""
+
+
+def test_run_rounds_workers_exit_when_caller_is_killed():
+    parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT], env=package_env(),
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+        line = parent.stdout.readline() if ready else ""
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10.0)
+        parent.stdout.close()
+    pids = [int(pid) for pid in line.split()]
+    assert len(pids) == 2, line
+    deadline = time.monotonic() + 10.0
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
 
 
 def test_format_mean_std_table_style():
