@@ -256,6 +256,22 @@ def test_eval_mismatched_manifest_is_data_error(train_dir, tmp_path, capsys, lay
     assert code == 2
 
 
+def test_eval_sample_with_late_header_line_is_data_error(train_dir, synth_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    (data / "samples").mkdir(parents=True)
+    (data / "manifest.txt").write_bytes((synth_dir / "manifest.txt").read_bytes())
+    for sample in (synth_dir / "samples").iterdir():
+        (data / "samples" / sample.name).write_bytes(sample.read_bytes())
+    sample = sorted((data / "samples").iterdir())[0]
+    lines = sample.read_text().splitlines() + ["taxels 3"]
+    sample.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "eval", "--checkpoint", str(train_dir / "round01_model.npz"),
+                       "--manifest", str(data / "manifest.txt"), "--split", "all",
+                       "--out-dir", str(tmp_path / "eval"))
+    assert code == 2
+    assert f"{sample}:{len(lines)}: header line after the first event" in err
+
+
 def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, capsys):
     ckpt = train_dir / "round01_model.npz"
     with np.load(ckpt, allow_pickle=False) as zf:

@@ -106,6 +106,23 @@ def test_load_samples_pads_to_common_length(tmp_path, layout10):
     assert lengths.pop() == 15  # ceil(0.3 / 0.02)
 
 
+def test_load_samples_loads_and_bins_each_entry_once_by_module_name(tmp_path, layout10,
+                                                                   monkeypatch):
+    # the benchmark's tracer rebinds these two names in datasets to time the loader
+    from taxelsnn import datasets
+    manifest = generate_synthetic(tmp_path, layout10, num_classes=2, samples_per_class=3,
+                                  duration=0.2, seed=0)
+    calls = {"load_event_file": [], "bin_events": []}
+    for name, seen in calls.items():
+        def counted(first, *args, _original=getattr(datasets, name), _seen=seen):
+            _seen.append(first)
+            return _original(first, *args)
+        monkeypatch.setattr(datasets, name, counted)
+    dataset = load_samples(manifest)
+    assert calls["load_event_file"] == [path for path, _ in manifest.entries]
+    assert len(calls["bin_events"]) == len(dataset) == len(manifest.entries)
+
+
 def test_manifest_missing_sample_file(tmp_path):
     (tmp_path / "manifest.txt").write_text(
         "taxels 2\nchannels 1\nbin_width 0.02\nclasses a b\n"

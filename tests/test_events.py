@@ -105,6 +105,23 @@ def test_spike_tensor_must_be_binary():
         SpikeTensor(np.full((2, 2, 1), 3.0), 0.02)
 
 
+@pytest.mark.parametrize("value", [np.uint8(2), np.int64(-1), np.int64(2), 0.5, np.nan])
+def test_spike_tensor_rejects_each_non_binary_value(value):
+    data = np.zeros((2, 2, 1), dtype=np.asarray(value).dtype)
+    data[1, 0, 0] = value
+    with pytest.raises(ValueError, match="binary"):
+        SpikeTensor(data, 0.02)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
+def test_spike_tensor_accepts_binary_data(dtype):
+    data = np.array([[[0], [1]], [[1], [1]]], dtype=dtype)
+    tensor = SpikeTensor(data, 0.02)
+    assert tensor.data.dtype == np.uint8
+    assert tensor.data.tobytes() == bytes([0, 1, 1, 1])
+    assert SpikeTensor(np.zeros((0, 2, 1), dtype=dtype), 0.02).num_steps == 0
+
+
 # --- wire format ---
 
 def test_wire_format_round_trip(tmp_path, rng):
@@ -156,3 +173,19 @@ def test_wire_format_errors_name_the_line(tmp_path):
 def test_wire_format_missing_file():
     with pytest.raises(DataFormatError, match="not found"):
         load_event_file("missing.events")
+
+
+@pytest.mark.parametrize("late", ["taxels 10", "duration 0.05", "channels 2 # again"])
+def test_header_line_after_an_event_names_the_line(tmp_path, late):
+    # a late header line would change the header under the events already read
+    path = tmp_path / "late.events"
+    path.write_text(f"taxels 39\nchannels 2\nduration 5.0\n0.1 38 0\n{late}\n")
+    with pytest.raises(DataFormatError, match=r"late\.events:5: header line after the first event$"):
+        load_event_file(path)
+
+
+def test_header_key_given_twice_names_the_line(tmp_path):
+    path = tmp_path / "twice.events"
+    path.write_text("taxels 39\nchannels 2\n\n# comment\ntaxels 10\nduration 5.0\n0.1 3 0\n")
+    with pytest.raises(DataFormatError, match=r"twice\.events:5: duplicate header line 'taxels'$"):
+        load_event_file(path)
