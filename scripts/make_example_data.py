@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from taxelsnn.layout import radial_layout, save_layout, save_edge_list
+from taxelsnn.layout import TaxelLayout, radial_layout, save_layout, save_edge_list
 
 RING_COUNTS = (8, 12, 18)
 
@@ -48,7 +48,9 @@ def main():
     out = Path(__file__).resolve().parent.parent / "data"
     out.mkdir(exist_ok=True)
     layout = radial_layout()
-    save_layout(layout, out / "taxels39.txt")
+    # the bundled layout keeps the coordinates to 1e-6 mm that it was first written with
+    save_layout(TaxelLayout([[float(f"{v:.6f}") for v in row] for row in layout.positions],
+                            layout.names), out / "taxels39.txt")
     save_edge_list(manual_edges(layout), out / "manual_edges39.txt")
     print(f"wrote {out / 'taxels39.txt'} ({layout.num_taxels} taxels)")
     print(f"wrote {out / 'manual_edges39.txt'} ({len(manual_edges(layout))} edges)")

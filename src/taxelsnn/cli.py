@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import generate_synthetic, load_manifest, load_samples
-from .errors import DataFormatError
+from .errors import DataFormatError, content_lines, read_lines
 from .graphs import GraphSpec, build_graph, export_graph
 from .layout import load_layout, load_edge_list, radial_layout, save_layout
 from .lif import LifConfig
@@ -68,15 +68,9 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise DataFormatError(f"config file not found: {path}") from None
     cfg = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, _ in content_lines(read_lines(path)):
+        line = raw.split("#", 1)[0]
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))

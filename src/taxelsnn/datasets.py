@@ -9,8 +9,11 @@ A manifest is a small text file binding sample files to class labels::
     samples/ring_000.events 0
     ...
 
-Paths are resolved relative to the manifest's directory. Labels must be
-dense 0..num_classes-1 and every referenced file must exist.
+The four header lines come first, each once, in any order, as in an
+event file; every line after the first entry is one ``path label`` entry.
+``#`` starts a comment. Paths are resolved relative to the manifest's
+directory. Labels must be dense 0..num_classes-1 and every referenced
+file must exist.
 
 The synthetic generator stands in for real sensor recordings: each class
 owns a spatially clustered subset of taxels (disjoint across classes) with
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, content_lines, read_header, read_lines
 from .events import (EventStream, SpikeTensor, bin_events, load_event_file, parse_header_line,
                      write_event_file)
 from .layout import TaxelLayout
@@ -53,29 +56,20 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=np.int64)
 
 
+# the header keys of a manifest; classes lists the class names, label 0 first
+_MANIFEST_PARSERS = {**dict.fromkeys(("taxels", "channels", "bin_width"), parse_header_line),
+                     "classes": lambda words: tuple(words[1:])}
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and fully validate a manifest (files exist, labels dense)."""
     path = Path(path)
-    try:
-        raw_lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        raise DataFormatError(f"file not found: {path}") from None
-    header: dict = {}
+    lines = read_lines(path)
+    header, start = read_header(path, lines, _MANIFEST_PARSERS)
     entries: list[tuple[Path, int]] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("taxels", "channels", "bin_width"):
-            try:
-                header[parts[0]] = parse_header_line(parts)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            continue
-        if parts[0] == "classes":
-            header["classes"] = " ".join(parts[1:])
-            continue
+    for lineno, raw, parts in content_lines(lines, start):
+        if parts[0] in _MANIFEST_PARSERS:
+            raise DataFormatError(f"{path}:{lineno}: header line after the first entry")
         if len(parts) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'path label', got {raw!r}")
         try:
@@ -83,10 +77,10 @@ def load_manifest(path) -> DatasetManifest:
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad label {parts[1]!r}") from None
         entries.append((path.parent / parts[0], label))
-    missing = {"taxels", "channels", "bin_width", "classes"} - header.keys()
+    missing = _MANIFEST_PARSERS.keys() - header.keys()
     if missing:
         raise DataFormatError(f"{path}: missing header line(s): {', '.join(sorted(missing))}")
-    class_names = tuple(header["classes"].split())
+    class_names = header["classes"]
     labels = sorted({label for _, label in entries})
     if labels != list(range(len(class_names))):
         raise DataFormatError(

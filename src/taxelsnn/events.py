@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, content_lines, read_header, read_lines
 
 # forgives float round-off when a timestamp sits on a bin boundary
 _BIN_EPS = 1e-9
@@ -44,7 +44,6 @@ _BIN_EPS = 1e-9
 # numeric header lines of the event and manifest formats; every value is finite
 # and positive, except that a recording may last 0 s
 _HEADER_TYPES = {"taxels": int, "channels": int, "duration": float, "bin_width": float}
-_EVENT_HEADER = frozenset(("taxels", "channels", "duration"))
 
 # canonical spellings of small ids, parsed by lookup; any other spelling goes through int()
 _IDS = {str(i): i for i in range(1024)}
@@ -64,6 +63,10 @@ def parse_header_line(parts: list[str]):
         raise ValueError(f"{key} needs one finite {kind.__name__} "
                          f"{'>= 0' if key == 'duration' else '> 0'}; got {' '.join(parts)!r}")
     return parsed
+
+
+# the header keys of an event file
+_EVENT_PARSERS = dict.fromkeys(("taxels", "channels", "duration"), parse_header_line)
 
 
 @dataclass(frozen=True)
@@ -157,25 +160,8 @@ def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
 def load_event_file(path) -> EventStream:
     """Parse the event wire format; errors carry the offending line number."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        raise DataFormatError(f"file not found: {path}") from None
-    header: dict = {}
-    start = len(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] not in _EVENT_HEADER:
-            start = lineno - 1
-            break
-        if parts[0] in header:
-            raise DataFormatError(f"{path}:{lineno}: duplicate header line {parts[0]!r}")
-        try:
-            header[parts[0]] = parse_header_line(parts)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    lines = read_lines(path)
+    header, start = read_header(path, lines, _EVENT_PARSERS)
     events = lines[start:]
     body = "\n".join(events)
     if "#" in body:
@@ -190,13 +176,13 @@ def load_event_file(path) -> EventStream:
     except (ValueError, OverflowError):  # a token that is no number, or an id beyond int64
         valid = False
     if valid and count:
-        valid = (header.keys() == _EVENT_HEADER
+        valid = (header.keys() == _EVENT_PARSERS.keys()
                  and 0 <= taxels.min() and taxels.max() < header["taxels"]
                  and 0 <= channels.min() and channels.max() < header["channels"]
                  and 0 <= times.min() and times.max() <= header["duration"])
     if not valid:
         raise _first_bad_event(path, lines, start, header)
-    missing = _EVENT_HEADER - header.keys()
+    missing = _EVENT_PARSERS.keys() - header.keys()
     if missing:
         raise DataFormatError(f"{path}: missing header line(s): {', '.join(sorted(missing))}")
     return EventStream(times, taxels, channels, duration=header["duration"],
@@ -213,11 +199,8 @@ def _ids(tokens: list[str]) -> np.ndarray:
 
 def _first_bad_event(path: Path, lines: list[str], start: int, header: dict) -> DataFormatError:
     """The error of the earliest event line (from index start) that fails a check."""
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] in _EVENT_HEADER:
+    for lineno, raw, parts in content_lines(lines, start):
+        if parts[0] in _EVENT_PARSERS:
             return DataFormatError(f"{path}:{lineno}: header line after the first event")
         if len(parts) != 3:
             return DataFormatError(
@@ -226,7 +209,7 @@ def _first_bad_event(path: Path, lines: list[str], start: int, header: dict) -> 
             t, n, c = float(parts[0]), int(parts[1]), int(parts[2])
         except ValueError as exc:
             return DataFormatError(f"{path}:{lineno}: {exc}")
-        if header.keys() != _EVENT_HEADER:
+        if header.keys() != _EVENT_PARSERS.keys():
             return DataFormatError(f"{path}:{lineno}: event before complete header")
         if not 0 <= n < header["taxels"]:
             return DataFormatError(

@@ -190,7 +190,7 @@ def minimum_spanning_tree(layout: TaxelLayout) -> list[tuple[int, int]]:
 
 def build_mst(layout: TaxelLayout, sigma_d: float) -> TactileGraph:
     """MST edges plus every pair strictly closer than sigma_d millimeters."""
-    if sigma_d < 0:
+    if not sigma_d >= 0:
         raise ValueError("sigma_d must be >= 0")
     n = layout.num_taxels
     pairs = {(min(i, j), max(i, j)) for i, j in minimum_spanning_tree(layout)}

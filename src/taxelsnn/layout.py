@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, content_lines, read_lines
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,7 @@ def load_layout(path) -> TaxelLayout:
     """Parse a layout file; raises DataFormatError naming the offending line."""
     path = Path(path)
     rows: dict[int, tuple[float, float, str | None]] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(read_lines(path)):
         if len(parts) not in (3, 4):
             raise DataFormatError(f"{path}:{lineno}: expected 'index x y [name]', got {raw!r}")
         try:
@@ -115,7 +111,7 @@ def save_layout(layout: TaxelLayout, path) -> None:
     lines = ["# taxel layout: index x_mm y_mm name"]
     for i, (x, y) in enumerate(layout.positions):
         name = layout.names[i] if layout.names else f"t{i}"
-        lines.append(f"{i} {x:.6f} {y:.6f} {name}")
+        lines.append(f"{i} {float(x)!r} {float(y)!r} {name}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -123,11 +119,7 @@ def load_edge_list(path) -> list[tuple[int, int]]:
     """Parse a manual edge file: one 'i j' pair per line, # comments allowed."""
     path = Path(path)
     edges = []
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(read_lines(path)):
         if len(parts) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'i j', got {raw!r}")
         try:
@@ -141,10 +133,3 @@ def save_edge_list(edges, path) -> None:
     lines = ["# manual tactile graph edges: i j"]
     lines += [f"{i} {j}" for i, j in edges]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_lines(path: Path) -> list[str]:
-    try:
-        return path.read_text().splitlines()
-    except FileNotFoundError:
-        raise DataFormatError(f"file not found: {path}") from None

@@ -56,6 +56,13 @@ def test_graph_mst_report(capsys, tmp_path):
     assert "num_edges 38" in out.read_text()
 
 
+def test_graph_nan_sigma_d_is_rejected(capsys):
+    code, stdout, err = run(capsys, "graph", "--layout", LAYOUT39,
+                            "--method", "mst", "--sigma-d", "nan")
+    assert code == 1
+    assert stdout == "" and "sigma_d must be >= 0" in err
+
+
 def test_graph_knn_reports_selection_count(capsys):
     code, stdout, _ = run(capsys, "graph", "--layout", LAYOUT39,
                           "--method", "knn", "--k", "2")
@@ -155,6 +162,16 @@ def test_train_bad_manifest_header_is_data_error(capsys, synth_dir, tmp_path, ba
                        "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"))
     assert code == 2
     assert f"{manifest}:{lines.index(bad) + 1}:" in err
+
+
+def test_train_late_manifest_header_is_data_error(capsys, synth_dir, tmp_path):
+    lines = (synth_dir / "manifest.txt").read_text().splitlines() + ["bin_width 0.5"]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "train", "--layout", str(synth_dir / "layout.txt"),
+                       "--manifest", str(manifest), "--out-dir", str(tmp_path / "run"))
+    assert code == 2
+    assert f"{manifest}:{len(lines)}: header line after the first entry" in err
 
 
 def test_readme_quickstart_with_relative_paths(tmp_path, monkeypatch, capsys):

@@ -159,6 +159,24 @@ def test_manifest_bad_header_value_names_file_and_line(tmp_path, bad):
         load_manifest(tmp_path / "manifest.txt")
 
 
+@pytest.mark.parametrize("late", ["bin_width 0.5", "classes p q", "taxels 7 # again"])
+def test_manifest_header_line_after_an_entry_names_the_line(tmp_path, late):
+    # a late header line would change the header under the entries already read
+    (tmp_path / "s.events").write_text("taxels 2\nchannels 1\nduration 0.1\n")
+    path = tmp_path / "late.txt"
+    path.write_text("taxels 2\nchannels 1\nbin_width 0.02\nclasses x y\n"
+                    f"s.events 0\ns.events 1\n{late}\n")
+    with pytest.raises(DataFormatError, match=r"late\.txt:7: header line after the first entry$"):
+        load_manifest(path)
+
+
+def test_manifest_header_key_given_twice_names_the_line(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("taxels 2\nchannels 1\nbin_width 0.02\nbin_width 0.5\nclasses x y\n")
+    with pytest.raises(DataFormatError, match=r"twice\.txt:4: duplicate header line 'bin_width'$"):
+        load_manifest(path)
+
+
 def test_manifest_round_trip(tmp_path):
     sample = tmp_path / "s0.events"
     sample.write_text("taxels 2\nchannels 1\nduration 0.1\n0.05 0 0\n")

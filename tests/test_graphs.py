@@ -163,6 +163,11 @@ def test_mst_rejects_negative_sigma(layout39):
         build_mst(layout39, -0.1)
 
 
+def test_mst_rejects_nan_sigma(layout39):
+    with pytest.raises(ValueError, match="sigma_d"):
+        build_mst(layout39, math.nan)
+
+
 def test_mst_threshold_is_strict():
     # distances: d(0,1)=d(1,2)=1, d(0,2)=2; MST = {(0,1),(1,2)}
     lay = TaxelLayout(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from taxelsnn import DataFormatError, TaxelLayout, load_layout, radial_layout
+from taxelsnn import (DataFormatError, TaxelLayout, build_knn, build_mst, load_layout,
+                      radial_layout)
 from taxelsnn.layout import load_edge_list, save_edge_list, save_layout
 
 
@@ -37,13 +38,16 @@ def test_distances_match_hand_computation():
 
 
 def test_layout_file_round_trip(tmp_path):
-    lay = radial_layout((4,), (2.5,))
+    # a saved layout loads back as the same layout, so it builds the same graphs
+    lay = radial_layout()
     path = tmp_path / "lay.txt"
     save_layout(lay, path)
     back = load_layout(path)
-    assert back.num_taxels == lay.num_taxels
-    np.testing.assert_allclose(back.positions, lay.positions, atol=1e-6)
+    np.testing.assert_array_equal(back.positions, lay.positions)
     assert back.names == lay.names
+    for k in (1, 2, 3):
+        assert build_knn(back, k) == build_knn(lay, k)
+    assert build_mst(back, 0.0) == build_mst(lay, 0.0)
 
 
 def test_layout_parse_errors_name_the_line(tmp_path):
