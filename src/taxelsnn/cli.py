@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,8 +17,8 @@ import numpy as np
 
 from .datasets import generate_synthetic, load_manifest, load_samples
 from .errors import DataFormatError, content_lines, read_lines
-from .graphs import GraphSpec, build_graph, export_graph
-from .layout import load_layout, load_edge_list, radial_layout, save_layout
+from .graphs import GraphSpec, build_graph
+from .layout import load_layout, load_edge_list, radial_layout, save_edge_list, save_layout
 from .lif import LifConfig
 from .model import NetworkConfig, load_model, save_model
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
@@ -45,25 +46,29 @@ class RunConfig:
     k: int = 2
     sigma_d: float = 0.0
     edges: str = ""             # manual edge file
-    # network
-    feature: str = "tagconv"
-    feature_width: int = 64
-    hops: int = 2
-    fc_sizes: str = "128,256"
-    beta: float = 0.2
-    u_threshold: float = 0.5
-    u_reset: float = 0.0
-    surrogate_width: float = 0.5
-    # optimization protocol
-    epochs: int = 100
-    learning_rate: float = 1e-3
-    rounds: int = 10
-    split_fraction: float = 0.8
-    seed: int = 0
+    # network, neurons and protocol: the library's own defaults
+    feature: str = NetworkConfig.feature
+    feature_width: int = NetworkConfig.feature_width
+    hops: int = NetworkConfig.tagconv_hops
+    fc_sizes: str = ",".join(map(str, NetworkConfig.fc_sizes))
+    beta: float = LifConfig.beta
+    u_threshold: float = LifConfig.u_threshold
+    u_reset: float = LifConfig.u_reset
+    surrogate_width: float = LifConfig.surrogate_width
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    rounds: int = TrainConfig.rounds
+    split_fraction: float = TrainConfig.split_fraction
+    seed: int = TrainConfig.seed
 
 
 # each RunConfig field's value type (str, int or float), read off its default
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+
+# synth flag -> generate_synthetic parameter; the parameter's default gives the value type
+_SYNTH_FLAGS = {"--classes": "num_classes", "--samples-per-class": "samples_per_class",
+                "--duration": "duration", "--bin-width": "bin_width",
+                "--channels": "num_channels", "--noise-rate": "noise_rate", "--seed": "seed"}
 
 
 def load_run_config(path) -> RunConfig:
@@ -105,7 +110,7 @@ def cmd_graph(args) -> int:
         # undirected degree exceeds k after symmetrization; report both views
         print(f"selected neighbors per node: {spec.k}")
     if args.out:
-        export_graph(graph, spec, args.out)
+        save_edge_list(graph.edges, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -118,16 +123,9 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_layout(layout, out_dir / "layout.txt")
-    manifest = generate_synthetic(
-        out_dir, layout,
-        num_classes=args.classes,
-        samples_per_class=args.samples_per_class,
-        duration=args.duration,
-        bin_width=args.bin_width,
-        num_channels=args.channels,
-        noise_rate=args.noise_rate,
-        seed=args.seed,
-    )
+    given = {name: getattr(args, name) for name in _SYNTH_FLAGS.values()
+             if getattr(args, name) is not None}
+    manifest = generate_synthetic(out_dir, layout, **given)
     print(f"wrote {len(manifest.entries)} samples across {manifest.num_classes} classes "
           f"to {out_dir}")
     print(f"manifest: {out_dir / 'manifest.txt'}")
@@ -165,7 +163,8 @@ def cmd_train(args) -> int:
         tagconv_hops=cfg.hops,
         feature_width=cfg.feature_width,
         fc_sizes=fc_sizes,
-        lif=LifConfig(cfg.beta, cfg.u_threshold, cfg.u_reset, cfg.surrogate_width),
+        lif=LifConfig(beta=cfg.beta, u_threshold=cfg.u_threshold, u_reset=cfg.u_reset,
+                      surrogate_width=cfg.surrogate_width),
     )
     train_cfg = TrainConfig(
         epochs=cfg.epochs,
@@ -240,23 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build a tactile graph and report its degree structure")
     p.add_argument("--layout", required=True)
-    p.add_argument("--method", default="knn", choices=["manual", "knn", "mst"])
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--sigma-d", dest="sigma_d", type=float, default=0.0)
-    p.add_argument("--edges", default="")
+    p.add_argument("--method", default=RunConfig.method, choices=["manual", "knn", "mst"])
+    p.add_argument("--k", type=int, default=RunConfig.k)
+    p.add_argument("--sigma-d", dest="sigma_d", type=float, default=RunConfig.sigma_d)
+    p.add_argument("--edges", default=RunConfig.edges)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic event dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--layout", default="")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int, default=40)
-    p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=0.02)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--noise-rate", dest="noise_rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    synth_params = inspect.signature(generate_synthetic).parameters
+    for flag, name in _SYNTH_FLAGS.items():
+        p.add_argument(flag, dest=name, type=type(synth_params[name].default), default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train over one or more rounds and write checkpoints")

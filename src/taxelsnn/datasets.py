@@ -135,7 +135,7 @@ def load_samples(manifest: DatasetManifest):
         if tensor.num_steps < t_max:
             pad = np.zeros((t_max - tensor.num_steps, tensor.num_taxels,
                             tensor.num_channels), dtype=tensor.data.dtype)
-            tensor = SpikeTensor(np.concatenate([tensor.data, pad]), manifest.bin_width)
+            tensor = SpikeTensor(np.concatenate([tensor.data, pad]))
         dataset.append((tensor, label))
     return dataset
 

@@ -113,7 +113,6 @@ class SpikeTensor:
     """Binary spikes on the (timestep, taxel, channel) grid."""
 
     data: np.ndarray  # (T, N, C), values in {0, 1}
-    bin_width: float
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -154,7 +153,7 @@ def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
         idx = np.floor(stream.times / bin_width + _BIN_EPS).astype(np.int64)
         idx = np.minimum(idx, t_steps - 1)  # events at exactly `duration`
         data[idx, stream.taxels, stream.channels] = 1
-    return SpikeTensor(data, bin_width)
+    return SpikeTensor(data)
 
 
 def load_event_file(path) -> EventStream:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -210,20 +209,3 @@ def build_graph(layout: TaxelLayout, spec: GraphSpec) -> TactileGraph:
         return build_knn(layout, spec.k)
     return build_mst(layout, spec.sigma_d)
 
-
-def export_graph(graph: TactileGraph, spec: GraphSpec, path) -> None:
-    """Write the plain-text graph document: header fields then the edge list."""
-    lines = [
-        "# tactile graph",
-        f"num_nodes {graph.num_nodes}",
-        f"method {spec.method}",
-    ]
-    if spec.method == "knn":
-        lines.append(f"k {spec.k}")
-    elif spec.method == "mst":
-        lines.append(f"sigma_d {spec.sigma_d}")
-    lines.append(f"num_edges {graph.num_edges}")
-    lines.append(f"average_degree {graph.average_degree():.6f}")
-    lines.append("edges")
-    lines += [f"{i} {j}" for i, j in graph.edges]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -19,7 +19,8 @@ differences on a fully differentiable stand-in network.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class LifConfig:
             raise ValueError("u_reset must be below u_threshold")
         if not self.surrogate_width > 0:
             raise ValueError("surrogate_width must be positive")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray, current: np.ndarray,

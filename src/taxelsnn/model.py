@@ -13,7 +13,10 @@ outputs, propagated inputs), so training can unroll gradients through it.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -320,25 +323,13 @@ def vote(outputs: np.ndarray, voting: np.ndarray):
 
 
 def _config_to_dict(cfg: NetworkConfig) -> dict:
-    return {
-        "num_classes": cfg.num_classes,
-        "num_channels": cfg.num_channels,
-        "feature": cfg.feature,
-        "tagconv_hops": cfg.tagconv_hops,
-        "feature_width": cfg.feature_width,
-        "fc_sizes": list(cfg.fc_sizes),
-        "lif": {
-            "beta": cfg.lif.beta,
-            "u_threshold": cfg.lif.u_threshold,
-            "u_reset": cfg.lif.u_reset,
-            "surrogate_width": cfg.lif.surrogate_width,
-        },
-        "graph": {
-            "num_nodes": cfg.graph.num_nodes,
-            "edges": [list(e) for e in cfg.graph.edges],
-        },
-        "graph_hash": cfg.graph.hash(),
-    }
+    """Every NetworkConfig field, in declaration order, with the graph and its hash last."""
+    doc = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    graph = doc.pop("graph")
+    doc["lif"] = dataclasses.asdict(cfg.lif)
+    doc["graph"] = {"num_nodes": graph.num_nodes, "edges": graph.edges}
+    doc["graph_hash"] = graph.hash()
+    return doc
 
 
 def _config_from_dict(doc: dict) -> NetworkConfig:
@@ -347,16 +338,8 @@ def _config_from_dict(doc: dict) -> NetworkConfig:
     if graph.hash() != doc["graph_hash"]:
         raise DataFormatError(f"graph hash mismatch: checkpoint says {doc['graph_hash']}, "
                               f"rebuilt graph hashes to {graph.hash()}")
-    return NetworkConfig(
-        graph=graph,
-        num_classes=doc["num_classes"],
-        num_channels=doc["num_channels"],
-        feature=doc["feature"],
-        tagconv_hops=doc["tagconv_hops"],
-        feature_width=doc["feature_width"],
-        fc_sizes=tuple(doc["fc_sizes"]),
-        lif=LifConfig(**doc["lif"]),
-    )
+    values = {f.name: doc[f.name] for f in dataclasses.fields(NetworkConfig)}
+    return NetworkConfig(**{**values, "graph": graph, "lif": LifConfig(**doc["lif"])})
 
 
 def save_model(model: Model, path, extra: dict | None = None) -> None:
@@ -372,42 +355,53 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
 def load_model(path):
     """Load a checkpoint; validates graph hash, every tensor shape and finiteness.
 
-    Returns (model, extra_dict).
+    Returns (model, extra_dict). A file that is no readable .npz archive, or
+    that fails a check, is a DataFormatError naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as zf:
-        for key in ("config_json", "voting"):
-            if key not in zf:
-                raise DataFormatError(f"checkpoint {path} has no {key!r}")
-        try:
-            cfg = _config_from_dict(json.loads(str(zf["config_json"])))
-        except DataFormatError as exc:
-            raise DataFormatError(f"checkpoint {path}: {exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"checkpoint {path}: malformed config_json ({exc!r})") from None
-        expected = param_shapes(cfg)
-        params = {}
-        for name, shape in expected.items():
-            key = f"param/{name}"
-            if key not in zf:
-                raise DataFormatError(f"checkpoint is missing tensor {name!r}")
-            arr = np.asarray(zf[key], dtype=np.float64)
-            if arr.shape != shape:
-                raise DataFormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise DataFormatError(f"tensor {name!r} holds non-finite values")
-            params[name] = arr
-        voting = np.asarray(zf["voting"], dtype=np.float64)
-        if voting.shape != (cfg.num_classes, cfg.num_output_neurons):
-            raise DataFormatError(f"voting matrix shape {voting.shape} does not match config")
-        if not np.all(np.isfinite(voting)):
-            raise DataFormatError("voting matrix holds non-finite values")
-        try:
-            extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
-        except json.JSONDecodeError:
-            extra = None
-        if not isinstance(extra, dict):
-            raise DataFormatError(f"checkpoint {path}: extra_json is not a JSON object")
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
+            return _read_checkpoint(zf)
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
+        # an .npy array is no context manager (TypeError), a cut archive raises BadZipFile
+        # and a corrupted compressed member zlib.error
+        detail = exc if isinstance(exc, DataFormatError) else f"unreadable archive ({exc!r})"
+        raise DataFormatError(f"checkpoint {path}: {detail}") from None
+
+
+def _read_checkpoint(zf):
+    """(model, extra) from an open checkpoint archive; a failed check is a DataFormatError."""
+    for key in ("config_json", "voting"):
+        if key not in zf:
+            raise DataFormatError(f"missing {key!r}")
+    try:
+        cfg = _config_from_dict(json.loads(str(zf["config_json"])))
+    except DataFormatError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"malformed config_json ({exc!r})") from None
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        key = f"param/{name}"
+        if key not in zf:
+            raise DataFormatError(f"missing tensor {name!r}")
+        arr = np.asarray(zf[key], dtype=np.float64)
+        if arr.shape != shape:
+            raise DataFormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"tensor {name!r} holds non-finite values")
+        params[name] = arr
+    voting = np.asarray(zf["voting"], dtype=np.float64)
+    if voting.shape != (cfg.num_classes, cfg.num_output_neurons):
+        raise DataFormatError(f"voting matrix shape {voting.shape} does not match config")
+    if not np.all(np.isfinite(voting)):
+        raise DataFormatError("voting matrix holds non-finite values")
+    try:
+        extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
+    except json.JSONDecodeError:
+        extra = None
+    if not isinstance(extra, dict):
+        raise DataFormatError("extra_json is not a JSON object")
     return Model(cfg, params, voting), extra

@@ -1,15 +1,21 @@
 import json
+import re
+import shlex
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taxelsnn.cli import main, load_run_config, RunConfig
+from taxelsnn import GraphSpec, build_graph, build_manual, load_edge_list, load_layout
+from taxelsnn.cli import build_parser, main, load_run_config, RunConfig
 from tests.conftest import DATA_DIR, package_env
 
 LAYOUT39 = str(DATA_DIR / "taxels39.txt")
+README = DATA_DIR.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -52,8 +58,30 @@ def test_graph_mst_report(capsys, tmp_path):
     assert code == 0
     assert "edges=38" in stdout
     assert "average degree: 1.948718" in stdout
-    assert out.exists()
-    assert "num_edges 38" in out.read_text()
+    layout = load_layout(LAYOUT39)
+    graph = build_graph(layout, GraphSpec("mst", sigma_d=0.0))
+    assert build_manual(layout, load_edge_list(out)) == graph
+
+
+@pytest.mark.parametrize("method, flag, value", [("knn", "--k", "1"), ("knn", "--k", "2"),
+                                                 ("knn", "--k", "3"), ("mst", "--sigma-d", "0"),
+                                                 ("mst", "--sigma-d", "2")])
+def test_graph_out_round_trips_through_manual_edges(capsys, tmp_path, method, flag, value):
+    out, again = tmp_path / "g.txt", tmp_path / "again.txt"
+    code, built, _ = run(capsys, "graph", "--layout", LAYOUT39, "--method", method, flag, value,
+                         "--out", str(out))
+    assert code == 0
+    code, manual, _ = run(capsys, "graph", "--layout", LAYOUT39, "--method", "manual",
+                          "--edges", str(out), "--out", str(again))
+    assert code == 0
+    layout = load_layout(LAYOUT39)
+    spec = (GraphSpec("knn", k=int(value)) if method == "knn"
+            else GraphSpec("mst", sigma_d=float(value)))
+    assert build_manual(layout, load_edge_list(out)) == build_graph(layout, spec)
+    assert again.read_bytes() == out.read_bytes()
+    # same "nodes=.. edges=.." and average degree
+    assert built.splitlines()[0].split()[-2:] == manual.splitlines()[0].split()[-2:]
+    assert built.splitlines()[1] == manual.splitlines()[1]
 
 
 def test_graph_nan_sigma_d_is_rejected(capsys):
@@ -199,6 +227,19 @@ def test_train_bad_learning_rate_is_usage_error(capsys, synth_dir, tmp_path, rat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, name", [("--u-threshold=inf", "u_threshold"),
+                                        ("--surrogate-width=inf", "surrogate_width"),
+                                        ("--u-reset=-inf", "u_reset")])
+def test_train_nonfinite_lif_value_is_usage_error(capsys, synth_dir, tmp_path, flag, name):
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--layout", str(synth_dir / "layout.txt"),
+                       "--manifest", str(synth_dir / "manifest.txt"), "--out-dir", str(out),
+                       "--epochs", "1", "--rounds", "1", flag)
+    assert code == 1
+    assert err.startswith("error:") and name in err
+    assert not out.exists()
+
+
 def test_train_requires_paths(capsys):
     code, _, err = run(capsys, "train")
     assert code == 1
@@ -306,25 +347,69 @@ def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, 
 
 @pytest.mark.parametrize("damage", ["drop config_json", "drop voting", "config_json {oops",
                                     "config_json {}", "extra_json {oops", "extra_json 3",
-                                    "edge [0, 99]", "edge [-1, 2]"])
+                                    "edge [0, 99]", "edge [-1, 2]", "file text", "file npy",
+                                    "file first-half", "file corrupted-compressed"])
 def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, tmp_path, capsys):
-    with np.load(train_dir / "round01_model.npz", allow_pickle=False) as zf:
+    checkpoint = train_dir / "round01_model.npz"
+    with np.load(checkpoint, allow_pickle=False) as zf:
         blobs = {k: zf[k] for k in zf.files}
     action, value = damage.split(" ", 1)
-    if action == "drop":
-        del blobs[value]
-    elif action == "edge":
-        doc = json.loads(str(blobs["config_json"]))
-        doc["graph"]["edges"].append(json.loads(value))
-        blobs["config_json"] = np.array(json.dumps(doc))
-    else:
-        blobs[action] = np.array(value)
     damaged = tmp_path / "damaged.npz"
-    np.savez(damaged, **blobs)
+    if action == "file":
+        if value == "text":
+            damaged.write_text("round 1\n")
+        elif value == "npy":
+            with open(damaged, "wb") as fh:   # an .npy array under an .npz name
+                np.save(fh, blobs["voting"])
+        elif value == "first-half":
+            data = checkpoint.read_bytes()
+            damaged.write_bytes(data[:len(data) // 2])
+        else:   # garble the deflate stream of config_json, the first member read
+            np.savez_compressed(damaged, **blobs)
+            with zipfile.ZipFile(damaged) as archive:
+                info = archive.getinfo("config_json.npy")
+            data = bytearray(damaged.read_bytes())
+            name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len + info.compress_size // 4
+            for i in range(start, start + info.compress_size // 4):
+                data[i] ^= 0x55
+            damaged.write_bytes(data)
+    else:
+        if action == "drop":
+            del blobs[value]
+        elif action == "edge":
+            doc = json.loads(str(blobs["config_json"]))
+            doc["graph"]["edges"].append(json.loads(value))
+            blobs["config_json"] = np.array(json.dumps(doc))
+        else:
+            blobs[action] = np.array(value)
+        np.savez(damaged, **blobs)
     code, _, err = run(capsys, "eval", "--checkpoint", str(damaged),
                        "--manifest", str(synth_dir / "manifest.txt"))
     assert code == 2
     assert err.startswith("data error:") and str(damaged) in err
+
+
+def readme_blocks(lang):
+    """The bodies of README's fenced code blocks of one language, indented ones included."""
+    text = README.read_text()
+    return [body for kind, body in re.findall(r"^ *```(\w*)\n(.*?)^ *```", text, re.M | re.S)
+            if kind == lang]
+
+
+def test_readme_commands_parse_and_config_loads(tmp_path):
+    lines = [line.strip() for block in readme_blocks("bash")
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("taxelsnn ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])   # a bad flag or value raises
+    (config,) = readme_blocks("ini")
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    cfg = load_run_config(path)
+    assert (cfg.method, cfg.sigma_d, cfg.out_dir) == ("mst", 2.0, "runs/mst2")
 
 
 def test_help_exits_zero(capsys):

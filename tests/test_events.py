@@ -79,7 +79,7 @@ def test_binning_conserves_event_count(seed):
 def test_binning_idempotent_on_bin_centers(seed):
     rng = np.random.default_rng(seed)
     data = (rng.random((10, 4, 2)) < 0.3).astype(np.uint8)
-    tensor = SpikeTensor(data, 0.02)
+    tensor = SpikeTensor(data)
     t_idx, n_idx, c_idx = np.nonzero(tensor.data)   # one event at the centre of each set cell
     rebinned = bin_events(make_stream((t_idx + 0.5) * 0.02, n_idx, c_idx, duration=10 * 0.02), 0.02)
     np.testing.assert_array_equal(rebinned.data, tensor.data)
@@ -102,7 +102,7 @@ def test_stream_sorts_events():
 
 def test_spike_tensor_must_be_binary():
     with pytest.raises(ValueError, match="binary"):
-        SpikeTensor(np.full((2, 2, 1), 3.0), 0.02)
+        SpikeTensor(np.full((2, 2, 1), 3.0))
 
 
 @pytest.mark.parametrize("value", [np.uint8(2), np.int64(-1), np.int64(2), 0.5, np.nan])
@@ -110,16 +110,16 @@ def test_spike_tensor_rejects_each_non_binary_value(value):
     data = np.zeros((2, 2, 1), dtype=np.asarray(value).dtype)
     data[1, 0, 0] = value
     with pytest.raises(ValueError, match="binary"):
-        SpikeTensor(data, 0.02)
+        SpikeTensor(data)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
 def test_spike_tensor_accepts_binary_data(dtype):
     data = np.array([[[0], [1]], [[1], [1]]], dtype=dtype)
-    tensor = SpikeTensor(data, 0.02)
+    tensor = SpikeTensor(data)
     assert tensor.data.dtype == np.uint8
     assert tensor.data.tobytes() == bytes([0, 1, 1, 1])
-    assert SpikeTensor(np.zeros((0, 2, 1), dtype=dtype), 0.02).num_steps == 0
+    assert SpikeTensor(np.zeros((0, 2, 1), dtype=dtype)).num_steps == 0
 
 
 # --- wire format ---

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxelsnn import (GraphSpec, TactileGraph, TaxelLayout, adjacency_powers, build_knn,
                       build_manual, build_mst, normalize_adjacency)
-from taxelsnn.graphs import build_graph, export_graph, knn_selections, minimum_spanning_tree
+from taxelsnn.graphs import build_graph, knn_selections, minimum_spanning_tree
 
 
 def brute_force_mst_weight(layout):
@@ -313,16 +313,3 @@ def test_graph_spec_validation():
     with pytest.raises(ValueError):
         GraphSpec("voronoi", k=1)
 
-
-def test_export_graph_document(tmp_path, layout39):
-    spec = GraphSpec("mst", sigma_d=0.0)
-    g = build_graph(layout39, spec)
-    out = tmp_path / "graph.txt"
-    export_graph(g, spec, out)
-    text = out.read_text()
-    assert "num_nodes 39" in text
-    assert "method mst" in text
-    assert "sigma_d 0.0" in text
-    assert "num_edges 38" in text
-    assert "average_degree 1.948718" in text
-    assert f"{g.edges[0][0]} {g.edges[0][1]}" in text

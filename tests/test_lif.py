@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,13 @@ def test_config_validation():
         LifConfig(u_reset=0.6, u_threshold=0.5)
     with pytest.raises(ValueError):
         LifConfig(surrogate_width=0.0)
+
+
+@pytest.mark.parametrize("name", ["beta", "u_threshold", "u_reset", "surrogate_width"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_nonfinite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        LifConfig(**{name: value})
 
 
 def test_step_decay_below_threshold():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -391,6 +393,22 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in model.params.items():
         np.testing.assert_array_equal(loaded.params[name], arr)
     np.testing.assert_array_equal(loaded.voting, model.voting)
+
+
+@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
+def test_checkpoint_round_trips_every_config_field(tmp_path, feature):
+    lif = LifConfig(beta=0.35, u_threshold=0.8, u_reset=-0.1, surrogate_width=0.3)
+    cfg = small_config(num_classes=3, num_channels=3, feature=feature, tagconv_hops=3,
+                       feature_width=5, fc_sizes=(6, 7), lif=lif)
+    # every field with a default but the feature kind holds another value
+    for obj in (cfg, lif):
+        for f in dataclasses.fields(obj):
+            if f.name != "feature" and f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) != f.default, f.name
+    path = tmp_path / "model.npz"
+    save_model(init_model(cfg, seed=4), path)
+    loaded, _ = load_model(path)
+    assert loaded.config == cfg
 
 
 def test_checkpoint_with_graph_hops_key_loads_identically(tmp_path):
