@@ -6,8 +6,7 @@ from .graphs import (GraphSpec, TactileGraph, build_manual, build_knn, build_mst
                      build_graph, normalize_adjacency, adjacency_powers)
 from .lif import LifConfig, surrogate_grad, relaxed_spike
 from .model import (NetworkConfig, Model, init_model, calibrate, model_forward, lif_scan,
-                    vote, tagconv_forward, fc_forward, voting_matrix, save_model,
-                    load_model)
+                    vote, voting_matrix, save_model, load_model)
 from .training import (TrainConfig, Metrics, voting_loss, backward, adam_step, AdamState,
                        stratified_split, train, evaluate, confusion_matrix, run_round,
                        run_rounds, summarize_rounds, one_hot)

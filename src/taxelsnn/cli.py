@@ -50,7 +50,7 @@ class RunConfig:
     feature: str = NetworkConfig.feature
     feature_width: int = NetworkConfig.feature_width
     hops: int = NetworkConfig.tagconv_hops
-    fc_sizes: str = ",".join(map(str, NetworkConfig.fc_sizes))
+    fc_sizes: tuple[int, ...] = NetworkConfig.fc_sizes
     beta: float = LifConfig.beta
     u_threshold: float = LifConfig.u_threshold
     u_reset: float = LifConfig.u_reset
@@ -62,8 +62,14 @@ class RunConfig:
     seed: int = TrainConfig.seed
 
 
-# each RunConfig field's value type (str, int or float), read off its default
-_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+def layer_sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated integers such as '128,256'; ValueError on an empty or bad item."""
+    return tuple(int(item) for item in text.split(","))
+
+
+# each RunConfig field's parser: its default's type (str, int or float), or layer_sizes
+_FIELD_TYPES = {f.name: layer_sizes if isinstance(f.default, tuple) else type(f.default)
+                for f in dataclasses.fields(RunConfig)}
 
 # synth flag -> generate_synthetic parameter; the parameter's default gives the value type
 _SYNTH_FLAGS = {"--classes": "num_classes", "--samples-per-class": "samples_per_class",
@@ -154,7 +160,6 @@ def cmd_train(args) -> int:
             f"{manifest.num_taxels}")
     spec = _graph_spec_from(cfg.method, cfg.k, cfg.sigma_d, cfg.edges)
     graph = build_graph(layout, spec)
-    fc_sizes = tuple(int(s) for s in cfg.fc_sizes.split(",") if s.strip())
     net_config = NetworkConfig(
         graph=graph,
         num_classes=manifest.num_classes,
@@ -162,7 +167,7 @@ def cmd_train(args) -> int:
         feature=cfg.feature,
         tagconv_hops=cfg.hops,
         feature_width=cfg.feature_width,
-        fc_sizes=fc_sizes,
+        fc_sizes=cfg.fc_sizes,
         lif=LifConfig(beta=cfg.beta, u_threshold=cfg.u_threshold, u_reset=cfg.u_reset,
                       surrogate_width=cfg.surrogate_width),
     )
@@ -215,6 +220,10 @@ def cmd_eval(args) -> int:
                 f"checkpoint was trained on a manifest with "
                 f"{extra.get('manifest_entries')} entries, this one has {len(dataset)}")
         indices = extra["test_indices"]
+        if not (isinstance(indices, list) and all(type(i) is int for i in indices)
+                and len(set(indices).intersection(range(len(dataset)))) == len(indices)):
+            raise DataFormatError(f"checkpoint {args.checkpoint}: test_indices must be "
+                                  f"distinct ints in 0..{len(dataset) - 1}")
     else:
         indices = range(len(dataset))
     samples = [dataset[i][0] for i in indices]

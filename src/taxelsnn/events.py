@@ -23,9 +23,9 @@ parser it replaced. Only when a check fails does it walk the lines to
 name the earliest bad one.
 
 Binning maps events onto a fixed grid of ``ceil(duration / bin_width)``
-timesteps; a cell is 1 iff at least one event falls in its window
-(multiple events clamp to a single spike). Events stamped exactly at the
-duration land in the last bin.
+timesteps, at least one; a cell is 1 iff at least one event falls in its
+window (multiple events clamp to a single spike). Events stamped exactly
+at the duration land in the last bin, also in a recording of 0 s.
 """
 from __future__ import annotations
 
@@ -140,11 +140,11 @@ class SpikeTensor:
 
 
 def num_bins(duration: float, bin_width: float) -> int:
-    return int(math.ceil(duration / bin_width - _BIN_EPS))
+    return max(1, math.ceil(duration / bin_width - _BIN_EPS))
 
 
 def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
-    """Discretize a stream onto ceil(duration / bin_width) timesteps."""
+    """Discretize a stream onto num_bins(duration, bin_width) timesteps."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     t_steps = num_bins(stream.duration, bin_width)

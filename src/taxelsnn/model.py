@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -65,12 +66,6 @@ class NetworkConfig:
     def num_output_neurons(self) -> int:
         return self.fc_sizes[-1]
 
-    def feature_output_size(self) -> int:
-        """Flattened size of the feature layer's spike output."""
-        if self.feature == "tagconv":
-            return self.graph.num_nodes * self.feature_width
-        return self.feature_width
-
 
 def layer_names(cfg: NetworkConfig) -> list[str]:
     """The spiking layers in forward order: feature, fc1, ..., fcL."""
@@ -97,23 +92,21 @@ def voting_matrix(num_classes: int, num_neurons: int) -> np.ndarray:
     return u
 
 
+def weight_name(cfg: NetworkConfig, name: str) -> str:
+    """Layer ``name``'s weight tensor: the filter ``feature.g`` (tagconv) or ``<name>.w``."""
+    return "feature.g" if name == "feature" and cfg.feature == "tagconv" else f"{name}.w"
+
+
 def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    n, c = cfg.graph.num_nodes, cfg.num_channels
-    if cfg.feature == "tagconv":
-        shapes = {
-            "feature.g": (c, cfg.feature_width, cfg.tagconv_hops + 1),
-            "feature.b": (cfg.feature_width,),
-        }
+    n, c, f = cfg.graph.num_nodes, cfg.num_channels, cfg.feature_width
+    weight = weight_name(cfg, "feature")
+    if weight == "feature.g":   # one filter shared by the nodes; each node keeps f features
+        shapes, flat = {weight: (c, f, cfg.tagconv_hops + 1)}, n * f
     else:
-        shapes = {
-            "feature.w": (cfg.feature_width, n * c),
-            "feature.b": (cfg.feature_width,),
-        }
-    prev = cfg.feature_output_size()
-    for i, size in enumerate(cfg.fc_sizes, start=1):
-        shapes[f"fc{i}.w"] = (size, prev)
-        shapes[f"fc{i}.b"] = (size,)
-        prev = size
+        shapes, flat = {weight: (f, n * c)}, f
+    shapes["feature.b"] = (f,)
+    for i, (size, prev) in enumerate(zip(cfg.fc_sizes, (flat, *cfg.fc_sizes)), start=1):
+        shapes[f"fc{i}.w"], shapes[f"fc{i}.b"] = (size, prev), (size,)
     return shapes
 
 
@@ -130,48 +123,22 @@ class Model:
 def init_model(cfg: NetworkConfig, seed: int) -> Model:
     """Uniform fan-in initialization, deterministic under the seed.
 
-    Every tensor is drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)). With
+    Every tensor is drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), where a
+    layer's fan-in is its weight's size over its bias's size. With
     sparse binary inputs this leaves the deeper layers almost silent: on the
     default network no output membrane reaches the surrogate window, so
     every gradient is zero. ``run_rounds`` therefore passes each fresh model
     through ``calibrate`` on training samples before the first epoch.
     """
     rng = np.random.default_rng(seed)
-    n, c = cfg.graph.num_nodes, cfg.num_channels
-    fan_in = {"feature": c * (cfg.tagconv_hops + 1) if cfg.feature == "tagconv" else n * c}
-    prev = cfg.feature_output_size()
-    for i, size in enumerate(cfg.fc_sizes, start=1):
-        fan_in[f"fc{i}"] = prev
-        prev = size
+    shapes = param_shapes(cfg)
     params = {}
-    for name, shape in param_shapes(cfg).items():
-        bound = 1.0 / np.sqrt(fan_in[name.split(".")[0]])
+    for name, shape in shapes.items():
+        layer = name.split(".")[0]
+        fan_in = math.prod(shapes[weight_name(cfg, layer)]) // math.prod(shapes[f"{layer}.b"])
+        bound = 1.0 / np.sqrt(fan_in)
         params[name] = rng.uniform(-bound, bound, size=shape)
     return Model(cfg, params, voting_matrix(cfg.num_classes, cfg.num_output_neurons))
-
-
-def tagconv_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray,
-                    powers) -> np.ndarray:
-    """Polynomial graph filter: z[:, f] = sum_c sum_k g[c,f,k] A^k x[:, c] + b[f].
-
-    x is the (N, C) spike matrix of one timestep; output is the (N, F)
-    real-valued synaptic current (the spiking nonlinearity is the caller's).
-    Runs the same products as ``model_forward``, on a one-step window.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, c = x.shape
-    if g.shape[0] != c or g.shape[2] != len(powers):
-        raise ValueError(f"filter shape {g.shape} inconsistent with input {x.shape} "
-                         f"and {len(powers)} adjacency powers")
-    return _tagconv_drive(_propagate(x[None], powers), g)[0] + b
-
-
-def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense current x @ w.T + b for one input vector or a (T, in) window of them."""
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape[1] != x.shape[-1]:
-        raise ValueError(f"weight expects input size {w.shape[1]}, got {x.shape[-1]}")
-    return x @ w.T + b
 
 
 def _propagate(x: np.ndarray, powers) -> np.ndarray:
@@ -187,13 +154,6 @@ def hop_major(propagated: np.ndarray) -> np.ndarray:
     return propagated.transpose(0, 2, 1, 3).reshape(t_steps * n, hops * c)
 
 
-def _tagconv_drive(propagated: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Filter input without bias for every timestep, (T, N, F), as one product."""
-    t_steps, hops, n, c = propagated.shape
-    g_mat = g.transpose(2, 0, 1).reshape(hops * c, -1)   # rows ordered (k, c) like hop_major
-    return (hop_major(propagated) @ g_mat).reshape(t_steps, n, -1)
-
-
 @dataclass
 class LayerTrace:
     u: np.ndarray       # (T, ...) membrane potentials
@@ -206,7 +166,7 @@ class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer over the window."""
 
     x: np.ndarray                   # (T, N, C)
-    propagated: np.ndarray          # tagconv: (T, K+1, N, C); mlp: (T, N*C)
+    propagated: np.ndarray          # tagconv: (T, K+1, N, C); mlp: x itself
     layers: list[LayerTrace] = field(default_factory=list)
 
     @property
@@ -239,7 +199,7 @@ def model_forward(model: Model, sample, relaxed: bool = False):
 
 
 def _feature_input(model: Model, sample):
-    """The checked (T, N, C) sample and the feature layer's input: hops (tagconv) or flat (mlp)."""
+    """The checked (T, N, C) sample and the feature layer's input: hops (tagconv) or x (mlp)."""
     cfg = model.config
     x = np.asarray(getattr(sample, "data", sample), dtype=np.float64)
     if x.ndim != 3:
@@ -250,9 +210,7 @@ def _feature_input(model: Model, sample):
     if n != cfg.graph.num_nodes or c != cfg.num_channels:
         raise ValueError(f"sample shape {x.shape[1:]} does not match "
                          f"(nodes={cfg.graph.num_nodes}, channels={cfg.num_channels})")
-    if cfg.feature == "tagconv":
-        return x, _propagate(x, cfg.hop_powers)
-    return x, x.reshape(t_steps, n * c)
+    return x, _propagate(x, cfg.hop_powers) if cfg.feature == "tagconv" else x
 
 
 def _layer_forward(model: Model, name: str, below: np.ndarray, relaxed: bool = False):
@@ -272,10 +230,26 @@ def lif_scan(currents: np.ndarray, lif: LifConfig, relaxed: bool = False) -> Lay
 
 
 def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
-    """Layer ``name``'s weighted input over the window, bias excluded; dense flattens ``below``."""
-    if name == "feature" and model.config.feature == "tagconv":
-        return _tagconv_drive(below, model.params["feature.g"])
-    return below.reshape(len(below), -1) @ model.params[f"{name}.w"].T
+    """Layer ``name``'s weighted input over the window as one product, bias excluded.
+
+    The filter g (TAGConv, Du et al. 2017) maps propagated (T, K+1, N, C) to (T, N, F), per
+    step ``z[:, f] = sum_c sum_k g[c,f,k] A^k x[:, c] + b[f]``; dense flattens to (T, in).
+    """
+    weight = model.params[weight_name(model.config, name)]
+    if weight.ndim == 3:   # the filter g, shape (C, F, K+1)
+        t_steps, hops, n, c = below.shape
+        g_mat = weight.transpose(2, 0, 1).reshape(hops * c, -1)   # rows (k, c) like hop_major
+        return (hop_major(below) @ g_mat).reshape(t_steps, n, -1)
+    return below.reshape(len(below), -1) @ weight.T
+
+
+def weight_grad(model: Model, name: str, below: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Layer ``name``'s weight gradient from ``dz`` on its currents, as ``_weighted_input``^T."""
+    weight = model.params[weight_name(model.config, name)]
+    if weight.ndim == 3:
+        c, f, hops = weight.shape
+        return (hop_major(below).T @ dz.reshape(-1, f)).reshape(hops, c, f).transpose(1, 2, 0)
+    return dz.T @ below.reshape(len(below), -1)
 
 
 def calibrate(model: Model, samples) -> None:
@@ -302,7 +276,7 @@ def calibrate(model: Model, samples) -> None:
     for name in layer_names(cfg):
         std = float(np.concatenate([_weighted_input(model, name, below).ravel()
                                     for below in inputs]).std())
-        weight = "feature.g" if name == "feature" and cfg.feature == "tagconv" else f"{name}.w"
+        weight = weight_name(cfg, name)
         if not np.isfinite(std):
             raise ValueError(f"calibration samples give {weight!r} a non-finite input")
         if std > 0.0:

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .lif import surrogate_grad
-from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, hop_major,
-                    init_model, layer_names, model_forward, vote)
+from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, init_model,
+                    layer_names, model_forward, vote, weight_grad, weight_name)
 
 ADAM_BETAS = (0.9, 0.999)   # decay rates of Adam's first and second moments
 ADAM_EPS = 1e-8
@@ -93,8 +93,7 @@ def one_hot(label: int, num_classes: int) -> np.ndarray:
 
 def voting_loss(outputs: np.ndarray, voting: np.ndarray, y: np.ndarray) -> float:
     """Squared error between the label vector and time-averaged votes."""
-    scores = voting @ np.asarray(outputs, dtype=np.float64).mean(axis=0)
-    diff = np.asarray(y, dtype=np.float64) - scores
+    diff = np.asarray(y, dtype=np.float64) - vote(outputs, voting)[0]
     return float(diff @ diff)
 
 
@@ -122,26 +121,20 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
     if not trace.layers:
         raise ValueError("forward trace is empty; run model_forward first")
     cfg = model.config
-    lif = cfg.lif
     t_steps = trace.x.shape[0]
-    outputs = trace.outputs
     y = np.asarray(label_onehot, dtype=np.float64)
     if y.shape != (cfg.num_classes,):
         raise ValueError(f"label must be one-hot of length {cfg.num_classes}")
 
-    scores = model.voting @ outputs.mean(axis=0)
+    scores, _ = vote(trace.outputs, model.voting)
     # d loss / d outputs[t] is constant over t: each step contributes 1/T
     dout = np.tile((2.0 / t_steps) * (model.voting.T @ (scores - y)), (t_steps, 1))
 
     grads: dict[str, np.ndarray] = {}
     for li, name in reversed(list(enumerate(layer_names(cfg)))):
-        dz = _lif_backward_scan(dout, trace.layers[li], lif)
+        dz = _lif_backward_scan(dout, trace.layers[li], cfg.lif)
         below = trace.layer_input(li)
-        if name == "feature" and cfg.feature == "tagconv":
-            dg = hop_major(below).T @ dz.reshape(-1, cfg.feature_width)
-            grads["feature.g"] = dg.reshape(-1, cfg.num_channels, dg.shape[1]).transpose(1, 2, 0)
-        else:
-            grads[f"{name}.w"] = dz.T @ below.reshape(t_steps, -1)
+        grads[weight_name(cfg, name)] = weight_grad(model, name, below, dz)
         grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
         if li:
             dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)

@@ -258,7 +258,7 @@ def test_run_config_file_with_overrides(synth_dir, tmp_path, capsys):
         "fc_sizes = 4,4\n"
         "seed = 9\n")
     cfg = load_run_config(cfg_path)
-    assert cfg.epochs == 1 and cfg.seed == 9
+    assert cfg.epochs == 1 and cfg.seed == 9 and cfg.fc_sizes == (4, 4)
     out = tmp_path / "from_cfg"
     code, stdout, _ = run(capsys, "train", "--config", str(cfg_path),
                           "--out-dir", str(out), "--rounds", "1")
@@ -271,6 +271,22 @@ def test_run_config_unknown_key(tmp_path):
     cfg_path.write_text("flux_capacitor = 1\n")
     code = main(["train", "--config", str(cfg_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["128,x", "128,,8", "4,", ""])
+def test_run_config_bad_fc_sizes_names_file_and_line(value, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"epochs = 1\nfc_sizes = {value}\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg_path))
+    assert code == 2
+    assert f"{cfg_path}:2: bad value for 'fc_sizes'" in err
+
+
+@pytest.mark.parametrize("value", ["128,x", "128,,8"])
+def test_train_bad_fc_sizes_flag_is_usage_error(value, capsys):
+    code, _, err = run(capsys, "train", "--fc-sizes", value)
+    assert code == 1
+    assert "usage error" in err and "--fc-sizes" in err
 
 
 # --- eval ---
@@ -301,6 +317,26 @@ def test_eval_split_all(train_dir, synth_dir, capsys, tmp_path):
                           "--split", "all", "--out-dir", str(tmp_path / "e2"))
     assert code == 0
     assert "samples: 10" in stdout
+
+
+@pytest.mark.parametrize("indices", [[-1], [999], [1.5], ["a"], [0, 0], [True], "0"],
+                         ids=["negative", "past-end", "float", "string", "repeated", "bool",
+                              "no-list"])
+def test_eval_bad_test_indices_is_data_error(indices, train_dir, synth_dir, tmp_path, capsys):
+    checkpoint = train_dir / "round01_model.npz"
+    with np.load(checkpoint, allow_pickle=False) as zf:
+        blobs = {k: zf[k] for k in zf.files}
+    extra = json.loads(str(blobs["extra_json"]))
+    extra["test_indices"] = indices
+    blobs["extra_json"] = np.array(json.dumps(extra))
+    damaged = tmp_path / "damaged.npz"
+    np.savez(damaged, **blobs)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(damaged),
+                       "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out-dir", str(tmp_path / "eval"))
+    assert code == 2
+    assert err.startswith("data error:") and str(damaged) in err and "test_indices" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_mismatched_manifest_is_data_error(train_dir, tmp_path, capsys, layout10):

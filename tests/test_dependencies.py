@@ -1,9 +1,19 @@
-"""numpy stays the only runtime dependency: the package imports the stdlib, numpy and itself."""
+"""The package's boundaries.
+
+numpy stays the only runtime dependency: the package imports the stdlib,
+numpy and itself. And every package name that the benchmark's traced run
+rebinds exists, so a rename in the package cannot break ``--trace 1`` runs
+unnoticed.
+"""
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import taxelsnn
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "taxelsnn"}
 
@@ -24,3 +34,14 @@ def test_package_imports_only_stdlib_numpy_and_itself():
                      for name in imported_modules(ast.parse(path.read_text()))
                      if name not in ALLOWED)
     assert foreign == []
+
+
+def test_traced_bindings_resolve_in_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [(module, attr) for module, attr, _, _ in tracing.BINDINGS] + [("model", "np")]
+    assert len(bindings) > 20
+    missing = [f"taxelsnn.{module}.{attr}" for module, attr in bindings
+               if not hasattr(importlib.import_module(f"taxelsnn.{module}"), attr)]
+    assert missing == []

@@ -47,6 +47,15 @@ def test_event_at_exact_duration_goes_to_last_bin():
     assert tensor.data[49, 0, 0] == 1
 
 
+@pytest.mark.parametrize("duration", [0.0, 1e-12])
+def test_recording_shorter_than_a_bin_gets_one_step(duration):
+    assert num_bins(duration, 0.02) == 1
+    tensor = bin_events(make_stream([0.0], [2], [1], duration=duration), 0.02)
+    assert tensor.data.shape == (1, 4, 2)
+    assert tensor.data[0, 2, 1] == 1 and tensor.data.sum() == 1
+    assert bin_events(make_stream([], [], [], duration=duration), 0.02).num_steps == 1
+
+
 def test_multiple_events_clamp_to_one():
     stream = make_stream([0.001, 0.002, 0.003], [1, 1, 1], [0, 0, 0], duration=0.1)
     tensor = bin_events(stream, 0.02)

@@ -2,11 +2,12 @@
 
 ``model_forward`` computes each layer's currents for the whole window as
 one matrix product and then scans the membranes. The reference here steps
-through time instead: per timestep it calls ``tagconv_forward`` or
-``fc_forward`` and ``membrane_update``, layer after layer. Both sum the
-same terms, possibly in a different order, so membranes may differ by
-rounding only; spike trains must be identical. The feature-filter gradient
-is checked against the einsum it replaced.
+through time instead and forms each step's currents with its own numpy
+expressions (the filter as a sum over hops of ``A^k x W_k``, each dense
+layer as a matrix-vector product), then calls ``membrane_update``, layer
+after layer. Both sum the same terms, possibly in a different order, so
+membranes may differ by rounding only; spike trains must be identical.
+The feature-filter gradient is checked against the einsum it replaced.
 
 The in-place reverse scan, Adam update and one-pass calibration keep every
 product and sum of the per-step code they replaced, kept here as
@@ -17,12 +18,12 @@ those references.
 import numpy as np
 import pytest
 
-from taxelsnn import (AdamState, NetworkConfig, TrainConfig, adam_step, adjacency_powers,
-                      backward, build_knn, calibrate, init_model, model_forward, training)
+from taxelsnn import (AdamState, NetworkConfig, TrainConfig, adam_step, backward, build_knn,
+                      calibrate, init_model, model_forward, training)
 from taxelsnn import model as tmodel
 from taxelsnn.layout import load_layout, radial_layout
 from taxelsnn.lif import membrane_update, relaxed_spike
-from taxelsnn.model import fc_forward, hop_major, layer_names, tagconv_forward
+from taxelsnn.model import hop_major, layer_names
 from tests.conftest import DATA_DIR
 
 T_STEPS = 120
@@ -35,14 +36,16 @@ def time_major_forward(model, x, relaxed):
     """Per-layer (u, fired, out) arrays of shape (T, ...), stepping through time."""
     cfg = model.config
     p = model.params
-    powers = adjacency_powers(cfg.graph.adjacency_norm, cfg.tagconv_hops)
+    powers = [np.linalg.matrix_power(cfg.graph.adjacency_norm, k)
+              for k in range(cfg.tagconv_hops + 1)]
     fc = [(p[f"fc{i}.w"], p[f"fc{i}.b"]) for i in range(1, len(cfg.fc_sizes) + 1)]
     records, state = None, None
     for t in range(x.shape[0]):
         if cfg.feature == "tagconv":
-            z = tagconv_forward(x[t], p["feature.g"], p["feature.b"], powers)
+            g = p["feature.g"]
+            z = sum(a_k @ x[t] @ g[:, :, k] for k, a_k in enumerate(powers)) + p["feature.b"]
         else:
-            z = fc_forward(x[t].ravel(), p["feature.w"], p["feature.b"])
+            z = p["feature.w"] @ x[t].ravel() + p["feature.b"]
         if records is None:
             shapes = [z.shape] + [b.shape for _, b in fc]
             records = [tuple(np.empty((x.shape[0], *s)) for _ in range(3)) for s in shapes]
@@ -53,7 +56,8 @@ def time_major_forward(model, x, relaxed):
             out = relaxed_spike(u, cfg.lif) if relaxed else fired
             u_rec[t], fired_rec[t], out_rec[t] = u, fired, out
             if li < len(fc):
-                z = fc_forward(out.ravel(), *fc[li])
+                w, b = fc[li]
+                z = w @ out.ravel() + b
     return records
 
 
@@ -147,7 +151,7 @@ def per_layer_calibrate(model, samples):
         drive = [tmodel._weighted_input(model, name, model_forward(model, x)[1].layer_input(li))
                  .ravel() for x in samples]
         std = float(np.concatenate(drive).std())
-        weight = "feature.g" if name == "feature" and cfg.feature == "tagconv" else f"{name}.w"
+        weight = tmodel.weight_name(cfg, name)
         if std > 0.0:
             model.params[weight] *= cfg.lif.u_threshold / 2.0 / std
 

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from taxelsnn import (DataFormatError, LifConfig, NetworkConfig, TaxelLayout, build_knn,
-                      build_manual, calibrate, fc_forward, init_model, load_model,
-                      model_forward, save_model, tagconv_forward, vote, voting_matrix)
-from taxelsnn.graphs import adjacency_powers, normalize_adjacency
+from taxelsnn import (DataFormatError, LifConfig, NetworkConfig, TactileGraph, TaxelLayout,
+                      build_knn, build_manual, calibrate, init_model, load_model,
+                      model_forward, save_model, vote, voting_matrix)
+from taxelsnn.graphs import normalize_adjacency
 from taxelsnn.model import Model, param_shapes
 
 
@@ -21,6 +21,37 @@ def naive_tagconv(x, g, b, adjacency, hops):
                 z[:, f] += g[c, f, k] * (np.linalg.matrix_power(adjacency, k) @ x[:, c])
         z[:, f] += b[f]
     return z
+
+
+def first_step_current(model, x):
+    """The feature layer's current for one (N, C) input step, read off ``model_forward``.
+
+    From rest, the first step's membrane is its input current exactly.
+    """
+    _, trace = model_forward(model, np.asarray(x, dtype=np.float64)[None])
+    return trace.layers[0].u[0]
+
+
+def filter_current(x, g, b, graph):
+    """The tagconv filter's (N, F) current for one (N, C) step, with filter g and bias b."""
+    c, f, hops = g.shape
+    cfg = NetworkConfig(graph=graph, num_classes=2, num_channels=c, tagconv_hops=hops - 1,
+                        feature_width=f, fc_sizes=(2,))
+    model = init_model(cfg, seed=0)
+    model.params["feature.g"][...] = g
+    model.params["feature.b"][...] = b
+    return first_step_current(model, x)
+
+
+def dense_current(x, w, b):
+    """The mlp feature layer's current for one input vector, with weight w and bias b."""
+    graph = TactileGraph(len(x), ())
+    cfg = NetworkConfig(graph=graph, num_classes=2, num_channels=1, feature="mlp",
+                        feature_width=len(w), fc_sizes=(2,))
+    model = init_model(cfg, seed=0)
+    model.params["feature.w"][...] = w
+    model.params["feature.b"][...] = b
+    return first_step_current(model, np.reshape(x, (-1, 1)))
 
 
 def two_node_graph():
@@ -66,7 +97,7 @@ def test_tagconv_identity_filter():
     coeff = np.zeros((1, 1, 1))
     coeff[0, 0, 0] = 1.0
     x = np.array([[1.0], [0.0]])
-    z = tagconv_forward(x, coeff, np.zeros(1), adjacency_powers(g.adjacency_norm, 0))
+    z = filter_current(x, coeff, np.zeros(1), g)
     np.testing.assert_allclose(z, x)
 
 
@@ -75,7 +106,7 @@ def test_tagconv_hop_one_propagates_across_edge():
     coeff = np.zeros((1, 1, 2))
     coeff[0, 0, 1] = 1.0  # pure hop-1 filter
     x = np.array([[1.0], [0.0]])
-    z = tagconv_forward(x, coeff, np.zeros(1), adjacency_powers(g.adjacency_norm, 1))
+    z = filter_current(x, coeff, np.zeros(1), g)
     np.testing.assert_allclose(z, [[0.0], [1.0]])
 
 
@@ -87,19 +118,19 @@ def test_tagconv_matches_naive_oracle(rng):
         k = int(rng.integers(0, 4))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         a = normalize_adjacency(edges, n)
-        powers = adjacency_powers(a, k)
         g = rng.standard_normal((c, f, k + 1))
         b = rng.standard_normal(f)
         x = (rng.random((n, c)) < 0.5).astype(np.float64)
-        np.testing.assert_allclose(tagconv_forward(x, g, b, powers),
+        np.testing.assert_allclose(filter_current(x, g, b, TactileGraph(n, tuple(edges))),
                                    naive_tagconv(x, g, b, a, k), atol=1e-10)
 
 
 def test_tagconv_dimension_mismatch():
-    g = two_node_graph()
-    with pytest.raises(ValueError, match="inconsistent"):
-        tagconv_forward(np.zeros((2, 3)), np.zeros((1, 1, 2)), np.zeros(1),
-                        adjacency_powers(g.adjacency_norm, 1))
+    # a (2 nodes, 3 channels) step against a 1-channel filter
+    cfg = NetworkConfig(graph=two_node_graph(), num_classes=2, num_channels=1,
+                        tagconv_hops=1, feature_width=1, fc_sizes=(2,))
+    with pytest.raises(ValueError, match="does not match"):
+        model_forward(init_model(cfg, seed=0), np.zeros((1, 2, 3)))
 
 
 def test_tagconv_linearity_with_zero_bias(rng):
@@ -109,9 +140,8 @@ def test_tagconv_linearity_with_zero_bias(rng):
     x1 = rng.standard_normal((2, 2))
     x2 = rng.standard_normal((2, 2))
     alpha = 1.7
-    lhs = tagconv_forward(alpha * x1 + x2, coeff, b, adjacency_powers(g.adjacency_norm, 1))
-    rhs = (alpha * tagconv_forward(x1, coeff, b, adjacency_powers(g.adjacency_norm, 1))
-           + tagconv_forward(x2, coeff, b, adjacency_powers(g.adjacency_norm, 1)))
+    lhs = filter_current(alpha * x1 + x2, coeff, b, g)
+    rhs = alpha * filter_current(x1, coeff, b, g) + filter_current(x2, coeff, b, g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -123,9 +153,9 @@ def test_tagconv_locality_respects_hop_limit():
     coeff = rng.standard_normal((1, 2, 3))
     b = rng.standard_normal(2)
     x = np.zeros((5, 1))
-    base = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
+    base = filter_current(x, coeff, b, g)
     x[4, 0] = 1.0
-    bumped = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
+    bumped = filter_current(x, coeff, b, g)
     np.testing.assert_array_equal(base[0], bumped[0])
     assert not np.allclose(base[4], bumped[4])
 
@@ -142,17 +172,17 @@ def test_tagconv_permutation_equivariance(rng):
     x = rng.standard_normal((6, 2))
     xp = np.empty_like(x)
     xp[perm] = x
-    out = tagconv_forward(x, coeff, b, adjacency_powers(g.adjacency_norm, 2))
-    outp = tagconv_forward(xp, coeff, b, adjacency_powers(gp.adjacency_norm, 2))
+    out = filter_current(x, coeff, b, g)
+    outp = filter_current(xp, coeff, b, gp)
     np.testing.assert_allclose(outp[perm], out, atol=1e-12)
 
 
-# --- fc layer ---
+# --- dense feature layer ---
 
 def test_fc_identity_and_bias():
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(fc_forward(x, np.eye(3), np.zeros(3)), x)
-    np.testing.assert_allclose(fc_forward(x, np.zeros((2, 3)), np.array([5.0, 6.0])),
+    np.testing.assert_allclose(dense_current(x, np.eye(3), np.zeros(3)), x)
+    np.testing.assert_allclose(dense_current(x, np.zeros((2, 3)), np.array([5.0, 6.0])),
                                [5.0, 6.0])
 
 
@@ -163,12 +193,14 @@ def test_fc_matches_hand_product():
     b = np.array([0.1, -0.2, 0.0])
     x = np.array([1.0, 2.0, 0.5, 1.0])
     # hand: row0 = 1 + 1 - 1 + 0.1 = 1.1; row1 = 0.5 + 2 - 0.2 = 2.3; row2 = 1.5
-    np.testing.assert_allclose(fc_forward(x, w, b), [1.1, 2.3, 1.5])
+    np.testing.assert_allclose(dense_current(x, w, b), [1.1, 2.3, 1.5])
 
 
 def test_fc_dimension_mismatch():
-    with pytest.raises(ValueError, match="input size"):
-        fc_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+    # a 3-node step against a dense layer over 4 inputs
+    model = init_model(small_config(feature="mlp"), seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        model_forward(model, np.zeros((1, 3, 1)))
 
 
 # --- full forward ---
@@ -257,8 +289,8 @@ def test_mlp_variant_forward():
 def weighted_input_stds(model, samples):
     """Per-layer std of W @ input (bias excluded), pooled over samples, steps, neurons.
 
-    Built step by step from tagconv_forward / fc_forward with a zero bias,
-    not through calibrate (the dense oracle checks tagconv_forward itself).
+    Built step by step from the dense oracle and plain products with a zero
+    bias, not through calibrate.
     """
     cfg = model.config
     p = model.params
@@ -268,14 +300,13 @@ def weighted_input_stds(model, samples):
         _, trace = model_forward(model, x)
         for t in range(x.shape[0]):
             if cfg.feature == "tagconv":
-                powers = adjacency_powers(cfg.graph.adjacency_norm, cfg.tagconv_hops)
-                z = tagconv_forward(x[t], p["feature.g"], np.zeros(cfg.feature_width), powers)
+                z = naive_tagconv(x[t], p["feature.g"], np.zeros(cfg.feature_width),
+                                  cfg.graph.adjacency_norm, cfg.tagconv_hops)
             else:
-                z = fc_forward(x[t].ravel(), p["feature.w"], np.zeros(cfg.feature_width))
+                z = p["feature.w"] @ x[t].ravel()
             drives[0].append(z.ravel())
             for li, name in enumerate(weights, start=1):
-                below = trace.layers[li - 1].out[t].ravel()
-                drives[li].append(fc_forward(below, p[name], np.zeros(len(p[name]))))
+                drives[li].append(p[name] @ trace.layers[li - 1].out[t].ravel())
     return [float(np.concatenate(d).std()) for d in drives]
 
 
