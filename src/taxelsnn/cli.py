@@ -17,10 +17,10 @@ import numpy as np
 
 from .datasets import generate_synthetic, load_manifest, load_samples
 from .errors import DataFormatError, content_lines, read_lines
-from .graphs import GraphSpec, build_graph
+from .graphs import METHODS, GraphSpec, build_graph
 from .layout import load_layout, load_edge_list, radial_layout, save_edge_list, save_layout
 from .lif import LifConfig
-from .model import NetworkConfig, load_model, save_model
+from .model import FEATURE_KINDS, NetworkConfig, load_model, save_model
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
                        run_rounds, summarize_rounds, write_confusion)
 
@@ -71,6 +71,13 @@ def layer_sizes(text: str) -> tuple[int, ...]:
 _FIELD_TYPES = {f.name: layer_sizes if isinstance(f.default, tuple) else type(f.default)
                 for f in dataclasses.fields(RunConfig)}
 
+# the fields that take one of a fixed set of values, each read from the set's owner
+_CHOICES = {"method": tuple(METHODS), "feature": FEATURE_KINDS}
+
+# the graph command's flags: the method, the methods' parameters that are run settings, and
+# the manual method's edge file
+_GRAPH_FIELDS = ("method", *(p for p in METHODS.values() if p in _FIELD_TYPES), "edges")
+
 # synth flag -> generate_synthetic parameter; the parameter's default gives the value type
 _SYNTH_FLAGS = {"--classes": "num_classes", "--samples-per-class": "samples_per_class",
                 "--duration": "duration", "--bin-width": "bin_width",
@@ -88,27 +95,28 @@ def load_run_config(path) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise DataFormatError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            setattr(cfg, key, _FIELD_TYPES[key](value))
+            parsed = _FIELD_TYPES[key](value)
+            if key in _CHOICES and parsed not in _CHOICES[key]:
+                raise ValueError
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+        setattr(cfg, key, parsed)
     return cfg
 
 
-def _graph_spec_from(method, k, sigma_d, edges_path) -> GraphSpec:
-    if method == "manual":
-        if not edges_path:
-            raise _UsageError("manual method needs an edge file (--edges)")
-        return GraphSpec("manual", manual_edges=tuple(load_edge_list(edges_path)))
-    if method == "knn":
-        return GraphSpec("knn", k=k)
-    if method == "mst":
-        return GraphSpec("mst", sigma_d=sigma_d)
-    raise _UsageError(f"unknown graph method {method!r}")
+def _graph_spec(settings: RunConfig) -> GraphSpec:
+    """The graph that ``settings`` names; a manual graph's edges come from its edge file."""
+    if settings.method != "manual":
+        param = METHODS[settings.method]
+        return GraphSpec(settings.method, **{param: getattr(settings, param)})
+    if not settings.edges:
+        raise _UsageError("manual method needs an edge file (--edges)")
+    return GraphSpec("manual", manual_edges=tuple(load_edge_list(settings.edges)))
 
 
 def cmd_graph(args) -> int:
     layout = load_layout(args.layout)
-    spec = _graph_spec_from(args.method, args.k, args.sigma_d, args.edges)
+    spec = _graph_spec(_apply_overrides(RunConfig(), args))
     graph = build_graph(layout, spec)
     print(f"graph: {spec.describe()} nodes={graph.num_nodes} edges={graph.num_edges}")
     print(f"average degree: {graph.average_degree():.6f}")
@@ -146,6 +154,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _owned(cfg: RunConfig, owner) -> dict:
+    """``cfg``'s values of the fields that the dataclass ``owner`` declares under the same name."""
+    names = {f.name for f in dataclasses.fields(owner)}
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name in names}
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
@@ -158,26 +172,12 @@ def cmd_train(args) -> int:
         raise DataFormatError(
             f"layout has {layout.num_taxels} taxels but manifest declares "
             f"{manifest.num_taxels}")
-    spec = _graph_spec_from(cfg.method, cfg.k, cfg.sigma_d, cfg.edges)
-    graph = build_graph(layout, spec)
-    net_config = NetworkConfig(
-        graph=graph,
-        num_classes=manifest.num_classes,
-        num_channels=manifest.num_channels,
-        feature=cfg.feature,
-        tagconv_hops=cfg.hops,
-        feature_width=cfg.feature_width,
-        fc_sizes=cfg.fc_sizes,
-        lif=LifConfig(beta=cfg.beta, u_threshold=cfg.u_threshold, u_reset=cfg.u_reset,
-                      surrogate_width=cfg.surrogate_width),
-    )
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        rounds=cfg.rounds,
-        split_fraction=cfg.split_fraction,
-        seed=cfg.seed,
-    )
+    graph = build_graph(layout, _graph_spec(cfg))
+    net_config = NetworkConfig(graph=graph, num_classes=manifest.num_classes,
+                               num_channels=manifest.num_channels, tagconv_hops=cfg.hops,
+                               lif=LifConfig(**_owned(cfg, LifConfig)),
+                               **_owned(cfg, NetworkConfig))
+    train_cfg = TrainConfig(**_owned(cfg, TrainConfig))
     dataset = load_samples(manifest)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,6 +241,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _add_run_flags(parser, names) -> None:
+    """One flag per named RunConfig field; an unset flag (None) leaves the field's value."""
+    for name in names:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=_FIELD_TYPES[name],
+                            choices=_CHOICES.get(name), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="taxelsnn",
                      description="Spiking graph networks for event-based tactile recognition")
@@ -248,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build a tactile graph and report its degree structure")
     p.add_argument("--layout", required=True)
-    p.add_argument("--method", default=RunConfig.method, choices=["manual", "knn", "mst"])
-    p.add_argument("--k", type=int, default=RunConfig.k)
-    p.add_argument("--sigma-d", dest="sigma_d", type=float, default=RunConfig.sigma_d)
-    p.add_argument("--edges", default=RunConfig.edges)
+    _add_run_flags(p, _GRAPH_FIELDS)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_graph)
 
@@ -265,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train over one or more rounds and write checkpoints")
     p.add_argument("--config", default="")
-    for name, kind in _FIELD_TYPES.items():
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
+    _add_run_flags(p, _FIELD_TYPES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint against a manifest")

@@ -25,20 +25,24 @@ import numpy as np
 from .layout import TaxelLayout
 
 
+# each construction method and the one GraphSpec parameter it takes; build_<method> builds it
+METHODS = {"manual": "manual_edges", "knn": "k", "mst": "sigma_d"}
+
+
 @dataclass(frozen=True)
 class GraphSpec:
-    """How to build a graph: method plus the single parameter it needs."""
+    """How to build a graph: a method of ``METHODS`` plus the single parameter it needs."""
 
-    method: str  # "manual" | "knn" | "mst"
+    method: str
     k: int | None = None
     sigma_d: float | None = None
     manual_edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.method not in ("manual", "knn", "mst"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown graph method {self.method!r}")
-        wanted = {"manual": "manual_edges", "knn": "k", "mst": "sigma_d"}[self.method]
-        for name in ("k", "sigma_d", "manual_edges"):
+        wanted = METHODS[self.method]
+        for name in METHODS.values():
             val = getattr(self, name)
             if name == wanted and val is None:
                 raise ValueError(f"method {self.method!r} requires {name}")
@@ -46,11 +50,10 @@ class GraphSpec:
                 raise ValueError(f"method {self.method!r} does not take {name}")
 
     def describe(self) -> str:
-        if self.method == "knn":
-            return f"knn k={self.k}"
-        if self.method == "mst":
-            return f"mst sigma_d={self.sigma_d}"
-        return f"manual edges={len(self.manual_edges)}"
+        if self.method == "manual":
+            return f"manual edges={len(self.manual_edges)}"
+        param = METHODS[self.method]
+        return f"{self.method} {param}={getattr(self, param)}"
 
 
 @dataclass(frozen=True)
@@ -145,11 +148,8 @@ def knn_selections(layout: TaxelLayout, k: int) -> list[list[int]]:
 
 def build_knn(layout: TaxelLayout, k: int) -> TactileGraph:
     """Union-symmetrized kNN graph: edge kept if either endpoint selects the other."""
-    pairs = set()
-    for i, nbrs in enumerate(knn_selections(layout, k)):
-        for j in nbrs:
-            pairs.add((min(i, j), max(i, j)))
-    return TactileGraph(layout.num_taxels, tuple(sorted(pairs)))
+    selections = knn_selections(layout, k)
+    return build_manual(layout, ((i, j) for i, nbrs in enumerate(selections) for j in nbrs))
 
 
 class _UnionFind:
@@ -191,21 +191,10 @@ def build_mst(layout: TaxelLayout, sigma_d: float) -> TactileGraph:
     """MST edges plus every pair strictly closer than sigma_d millimeters."""
     if not sigma_d >= 0:
         raise ValueError("sigma_d must be >= 0")
-    n = layout.num_taxels
-    pairs = {(min(i, j), max(i, j)) for i, j in minimum_spanning_tree(layout)}
-    if sigma_d > 0:
-        dist = layout.distances()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist[i, j] < sigma_d:
-                    pairs.add((i, j))
-    return TactileGraph(n, tuple(sorted(pairs)))
+    close = np.argwhere(np.triu(layout.distances() < sigma_d, 1)).tolist()
+    return build_manual(layout, minimum_spanning_tree(layout) + close)
 
 
 def build_graph(layout: TaxelLayout, spec: GraphSpec) -> TactileGraph:
-    if spec.method == "manual":
-        return build_manual(layout, spec.manual_edges)
-    if spec.method == "knn":
-        return build_knn(layout, spec.k)
-    return build_mst(layout, spec.sigma_d)
-
+    """``build_<method>(layout, <the method's parameter>)`` for the spec's method."""
+    return globals()[f"build_{spec.method}"](layout, getattr(spec, METHODS[spec.method]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -287,6 +288,75 @@ def test_train_bad_fc_sizes_flag_is_usage_error(value, capsys):
     code, _, err = run(capsys, "train", "--fc-sizes", value)
     assert code == 1
     assert "usage error" in err and "--fc-sizes" in err
+
+
+@pytest.mark.parametrize("key, value", [("feature", "gcn"), ("method", "voronoi")])
+def test_run_config_bad_choice_names_file_and_line(key, value, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    missing = tmp_path / "missing.txt"   # refused before any data file is read
+    cfg_path.write_text(f"layout = {missing}\nmanifest = {missing}\n{key} = {value}\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg_path))
+    assert code == 2
+    assert err == f"data error: {cfg_path}:3: bad value for {key!r}: {value!r}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--feature", "gcn"), ("--method", "voronoi")])
+def test_train_bad_choice_flag_is_usage_error(flag, value, capsys):
+    code, _, err = run(capsys, "train", flag, value)
+    assert code == 1
+    assert err.startswith(f"usage error: argument {flag}: invalid choice: {value!r}")
+
+
+def test_graph_and_train_list_the_same_methods(capsys):
+    for command in ("graph", "train"):
+        code, stdout, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--method {manual,knn,mst}" in stdout
+
+
+# a non-default value for every network, neuron and protocol setting
+NON_DEFAULT = {"feature": "mlp", "feature_width": 3, "hops": 1, "fc_sizes": (5, 6),
+               "beta": 0.3, "u_threshold": 0.6, "u_reset": 0.1, "surrogate_width": 0.4,
+               "epochs": 2, "learning_rate": 0.002, "rounds": 3, "split_fraction": 0.75,
+               "seed": 4}
+# the run's paths and graph settings; every other RunConfig field has an owner
+NOT_OWNED = {"layout", "manifest", "out_dir", "method", "k", "sigma_d", "edges"}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_train_passes_every_setting_to_its_owner(source, synth_dir, tmp_path, monkeypatch):
+    assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(RunConfig)} - NOT_OWNED
+    assert all(getattr(RunConfig, name) != value for name, value in NON_DEFAULT.items())
+    reached = {}
+
+    class Reached(Exception):
+        pass
+
+    def fake_run_rounds(dataset, net_config, train_cfg):
+        reached.update(net=net_config, train=train_cfg)
+        raise Reached
+
+    monkeypatch.setattr("taxelsnn.cli.run_rounds", fake_run_rounds)
+    text = {name: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            for name, value in NON_DEFAULT.items()}
+    if source == "flags":
+        settings = [arg for name, value in text.items()
+                    for arg in (f"--{name.replace('_', '-')}", value)]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(f"{name} = {value}\n" for name, value in text.items()))
+        settings = ["--config", str(cfg_path)]
+    with pytest.raises(Reached):
+        main(["train", "--layout", str(synth_dir / "layout.txt"),
+              "--manifest", str(synth_dir / "manifest.txt"),
+              "--out-dir", str(tmp_path / "run"), *settings])
+    net, train_cfg = reached["net"], reached["train"]
+    arrived = {f.name: getattr(owner, f.name)
+               for owner in (net, net.lif, train_cfg) for f in dataclasses.fields(owner)}
+    arrived["hops"] = arrived.pop("tagconv_hops")
+    for name, value in NON_DEFAULT.items():
+        assert name in arrived, f"RunConfig.{name} matches no owner field"
+        assert arrived[name] == value, name
 
 
 # --- eval ---

@@ -313,3 +313,31 @@ def test_graph_spec_validation():
     with pytest.raises(ValueError):
         GraphSpec("voronoi", k=1)
 
+
+
+# --- old-vs-new gate: graphs and descriptions pinned before the builders shared one path ---
+
+KNN_HASHES = {1: "69c35a7deba2e9c1", 2: "fc8c7d4f16f39946", 3: "b08a5a06b30ef0db",
+              4: "d42b169c8c79437e", 5: "8bed2af340234df2", 6: "ab401aa188281884",
+              7: "69c1de8994af3bde", 8: "85156de0b104f49d"}
+# criterion 2's sigma_d values; below the layout's 2 mm pitch only the tree remains
+MST_HASHES = {0.0: "49fa94eda1938a70", 1.5: "49fa94eda1938a70", 2.0: "54e05cc20b3c88d6",
+              2.5: "5fb2b659a21f60c7", 3.0: "c43e0281a11b5749", 3.5: "f65298cee5b700dd",
+              4.0: "c126b35502d0fa2d"}
+
+
+def test_graph_hashes_match_pinned_values(layout39):
+    assert {k: build_graph(layout39, GraphSpec("knn", k=k)).hash() for k in KNN_HASHES} \
+        == KNN_HASHES
+    assert {s: build_graph(layout39, GraphSpec("mst", sigma_d=s)).hash() for s in MST_HASHES} \
+        == MST_HASHES
+
+
+@pytest.mark.parametrize("spec, text", [(GraphSpec("knn", k=3), "knn k=3"),
+                                        (GraphSpec("mst", sigma_d=2.5), "mst sigma_d=2.5"),
+                                        (GraphSpec("manual", manual_edges=((0, 1), (1, 2))),
+                                         "manual edges=2")])
+def test_describe_matches_pinned_text(spec, text, layout39):
+    assert spec.describe() == text
+    assert build_graph(layout39, spec).num_nodes == 39   # every method has its builder
+

@@ -156,16 +156,21 @@ def assert_grads_close(analytic, fd, rel=1e-4, floor=1e-8):
 def test_bptt_matches_finite_differences(feature):
     lay = TaxelLayout(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     graph = build_knn(lay, 2)
-    cfg = NetworkConfig(graph=graph, num_classes=2, num_channels=1, feature=feature,
-                        tagconv_hops=1, feature_width=2, fc_sizes=(4, 6))
-    model = init_model(cfg, seed=3)
-    rng = np.random.default_rng(0)
-    x = (rng.random((5, 4, 1)) < 0.5).astype(np.float64)
-    y = one_hot(1, 2)
-    _, trace = model_forward(model, x, relaxed=True)
-    analytic = backward(model, trace, y)
-    fd = finite_difference_grads(model, x, y)
-    assert_grads_close(analytic, fd)
+    # two channels tell the filter gradient's channel axis from its hop axis. Each seed leaves
+    # every tensor live and no membrane within the difference step of the relaxed ramp's kinks
+    # (seed 0 on two channels has one, and central differences across it miss by 6e-3)
+    for channels, seed in ((1, 3), (2, 5)):
+        cfg = NetworkConfig(graph=graph, num_classes=2, num_channels=channels, feature=feature,
+                            tagconv_hops=1, feature_width=2, fc_sizes=(4, 6))
+        model = init_model(cfg, seed=seed)
+        rng = np.random.default_rng(0)
+        x = (rng.random((5, 4, channels)) < 0.5).astype(np.float64)
+        y = one_hot(1, 2)
+        _, trace = model_forward(model, x, relaxed=True)
+        analytic = backward(model, trace, y)
+        assert all(np.any(g) for g in analytic.values())   # every tensor gets gradient
+        fd = finite_difference_grads(model, x, y)
+        assert_grads_close(analytic, fd)
 
 
 # --- adam ---
