@@ -74,9 +74,9 @@ _FIELD_TYPES = {f.name: layer_sizes if isinstance(f.default, tuple) else type(f.
 # the fields that take one of a fixed set of values, each read from the set's owner
 _CHOICES = {"method": tuple(METHODS), "feature": FEATURE_KINDS}
 
-# the graph command's flags: the method, the methods' parameters that are run settings, and
-# the manual method's edge file
-_GRAPH_FIELDS = ("method", *(p for p in METHODS.values() if p in _FIELD_TYPES), "edges")
+# each method's GraphSpec parameter -> the run setting that gives it (manual: an edge file)
+_GRAPH_SETTINGS = {p: p if p in _FIELD_TYPES else "edges" for p in METHODS.values()}
+_GRAPH_FIELDS = ("method", *_GRAPH_SETTINGS.values())   # the graph command's flags
 
 # synth flag -> generate_synthetic parameter; the parameter's default gives the value type
 _SYNTH_FLAGS = {"--classes": "num_classes", "--samples-per-class": "samples_per_class",
@@ -86,7 +86,7 @@ _SYNTH_FLAGS = {"--classes": "num_classes", "--samples-per-class": "samples_per_
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    cfg = RunConfig()
+    values = {}
     for lineno, raw, _ in content_lines(read_lines(path)):
         line = raw.split("#", 1)[0]
         if "=" not in line:
@@ -94,24 +94,34 @@ def load_run_config(path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise DataFormatError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise DataFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             parsed = _FIELD_TYPES[key](value)
             if key in _CHOICES and parsed not in _CHOICES[key]:
                 raise ValueError
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-        setattr(cfg, key, parsed)
-    return cfg
+        values[key] = parsed
+    return RunConfig(**values)
 
 
 def _graph_spec(settings: RunConfig) -> GraphSpec:
-    """The graph that ``settings`` names; a manual graph's edges come from its edge file."""
-    if settings.method != "manual":
-        param = METHODS[settings.method]
-        return GraphSpec(settings.method, **{param: getattr(settings, param)})
-    if not settings.edges:
-        raise _UsageError("manual method needs an edge file (--edges)")
-    return GraphSpec("manual", manual_edges=tuple(load_edge_list(settings.edges)))
+    """The graph that ``settings`` names; a manual graph's edges come from its edge file.
+
+    The method's parameter and each graph setting off its ``RunConfig`` default reach
+    ``GraphSpec``, which rejects one the method does not take.
+    """
+    wanted = METHODS[settings.method]
+    given = {param: getattr(settings, name) for param, name in _GRAPH_SETTINGS.items()
+             if param == wanted or getattr(settings, name) != getattr(RunConfig, name)}
+    if wanted == "manual_edges":
+        if not settings.edges:
+            raise _UsageError("manual method needs an edge file (--edges)")
+        given["manual_edges"] = tuple(load_edge_list(settings.edges))
+    elif "manual_edges" in given:
+        given["manual_edges"] = ()   # rejected below without reading the file
+    return GraphSpec(settings.method, **given)
 
 
 def cmd_graph(args) -> int:
@@ -130,10 +140,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.layout:
-        layout = load_layout(args.layout)
-    else:
-        layout = radial_layout()
+    layout = load_layout(args.layout) if args.layout else radial_layout()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_layout(layout, out_dir / "layout.txt")
@@ -203,14 +210,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, extra = load_model(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    if manifest.num_taxels != model.config.graph.num_nodes:
-        raise DataFormatError(
-            f"manifest declares {manifest.num_taxels} taxels but the checkpoint's "
-            f"graph has {model.config.graph.num_nodes} nodes")
-    if manifest.num_classes != model.config.num_classes:
-        raise DataFormatError(
-            f"manifest has {manifest.num_classes} classes, checkpoint expects "
-            f"{model.config.num_classes}")
+    for what, have, want in (("taxels", manifest.num_taxels, model.config.graph.num_nodes),
+                             ("classes", manifest.num_classes, model.config.num_classes),
+                             ("channels", manifest.num_channels, model.config.num_channels)):
+        if have != want:
+            raise DataFormatError(f"manifest has {have} {what}, the checkpoint expects {want}")
     dataset = load_samples(manifest)
     if args.split == "test":
         if "test_indices" not in extra:

@@ -91,7 +91,7 @@ class EventStream:
         order = np.argsort(times, kind="stable")
         times, taxels, channels = times[order], taxels[order], channels[order]
         if times.size:
-            if times[0] < 0 or times[-1] > self.duration:
+            if not (times[0] >= 0 and times[-1] <= self.duration):   # NaN sorts last and fails
                 raise ValueError("event timestamps must lie in [0, duration]")
             if taxels.min() < 0 or taxels.max() >= self.num_taxels:
                 raise ValueError(f"taxel ids must lie in 0..{self.num_taxels - 1}")

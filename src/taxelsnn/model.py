@@ -127,7 +127,7 @@ def init_model(cfg: NetworkConfig, seed: int) -> Model:
     layer's fan-in is its weight's size over its bias's size. With
     sparse binary inputs this leaves the deeper layers almost silent: on the
     default network no output membrane reaches the surrogate window, so
-    every gradient is zero. ``run_rounds`` therefore passes each fresh model
+    every gradient is zero. ``run_round`` therefore passes each fresh model
     through ``calibrate`` on training samples before the first epoch.
     """
     rng = np.random.default_rng(seed)

@@ -14,16 +14,14 @@ recurrence in place in the same operation order as the per-step formula.
 
 Optimization is Adam with bias correction, in place, one sample per step.
 
-``run_rounds`` repeats the protocol over independently initialised rounds
-on one fixed split. The rounds share nothing but their inputs, so they run
-in parallel, one spawned worker process per usable core (the process's CPU
-affinity), each worker with one BLAS thread. ``run_round`` is one round
-as a function of its arguments alone: the workers run it, and with a
-single worker ``run_rounds`` runs it in this process.
+``run_round`` is one round of the protocol, fixed by ``(cfg, r)``. The
+rounds share nothing but their inputs, so ``run_rounds`` runs every round
+on a spawned worker process, at most one per usable core (the process's
+CPU affinity), each with one BLAS thread: a round gives the same bytes
+however many rounds run beside it.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import warnings
@@ -47,7 +45,6 @@ class TrainConfig:
     rounds: int = 10
     split_fraction: float = 0.8
     seed: int = 0
-    split_seed: int | None = None  # defaults to seed; rounds pin it so only init varies
 
     def __post_init__(self):
         if self.epochs < 0 or self.rounds < 1:
@@ -225,16 +222,16 @@ def write_confusion(cm: np.ndarray, class_names, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def train(model: Model, dataset, cfg: TrainConfig):
+def train(model: Model, dataset, cfg: TrainConfig, r: int = 0):
     """Optimize the model on a stratified split of (sample, label) pairs.
 
     Runs per-sample forward/backward/Adam over reshuffled training data
     each epoch, evaluating loss and accuracy on the held-out split after
-    every epoch. Returns (model, metrics, (train_idx, test_idx)).
+    every epoch; the split is seeded by cfg.seed, the shuffles by
+    cfg.seed + r. Returns (model, metrics, (train_idx, test_idx)).
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
-    split_seed = cfg.seed if cfg.split_seed is None else cfg.split_seed
-    train_idx, test_idx = stratified_split(labels, cfg.split_fraction, split_seed)
+    train_idx, test_idx = stratified_split(labels, cfg.split_fraction, cfg.seed)
     train_samples = [dataset[i][0] for i in train_idx]
     train_labels = labels[train_idx]
     test_samples = [dataset[i][0] for i in test_idx]
@@ -242,7 +239,7 @@ def train(model: Model, dataset, cfg: TrainConfig):
 
     metrics = Metrics()
     state = AdamState.for_params(model.params)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed + r)
     num_classes = model.config.num_classes
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_samples))
@@ -282,12 +279,11 @@ def run_round(dataset, net_config, cfg: TrainConfig, r: int) -> RoundResult:
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     train_idx, _ = stratified_split(labels, cfg.split_fraction, cfg.seed)
-    round_cfg = dataclasses.replace(cfg, seed=cfg.seed + r, split_seed=cfg.seed)
-    model = init_model(net_config, seed=round_cfg.seed)
-    picks = np.random.default_rng(round_cfg.seed).choice(
+    model = init_model(net_config, seed=cfg.seed + r)
+    picks = np.random.default_rng(cfg.seed + r).choice(
         train_idx, size=min(CALIBRATION_SAMPLES, train_idx.size), replace=False)
     calibrate(model, [dataset[i][0] for i in picks])
-    model, metrics, (_, test_idx) = train(model, dataset, round_cfg)
+    model, metrics, (_, test_idx) = train(model, dataset, cfg, r)
     return RoundResult(model, metrics, test_idx)
 
 
@@ -323,15 +319,13 @@ def _start_worker(warning_filters) -> None:
 def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
     """``run_round`` for every round of ``cfg``, returned in round order.
 
-    The rounds run in parallel on ``min(cfg.rounds, usable cores)`` spawned
-    worker processes, each with one BLAS thread; with one worker they run
-    in this process, one after another. This process's environment is the
-    same afterwards. The first round to fail raises its exception here,
-    once every worker is stopped; the other rounds do not finish.
+    Every round runs on one of ``min(cfg.rounds, usable cores)`` spawned
+    worker processes with one BLAS thread each, also a single round. This
+    process's environment is the same afterwards. The first round to fail
+    raises its exception here, once every worker is stopped; the other
+    rounds do not finish.
     """
     workers = min(cfg.rounds, _usable_cores())
-    if workers < 2:
-        return [run_round(dataset, net_config, cfg, r) for r in range(cfg.rounds)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 

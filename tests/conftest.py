@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -25,6 +26,16 @@ def layout39() -> TaxelLayout:
 def layout10() -> TaxelLayout:
     # two rings of 4 + 6, no center: 10 taxels
     return radial_layout((4, 6), (2.0, 4.0), include_center=False)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a multiprocessing child alive; every run_rounds call starts some."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+    assert left == [], f"child processes left alive: {left}"
 
 
 @pytest.fixture()

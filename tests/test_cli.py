@@ -105,6 +105,22 @@ def test_graph_manual_needs_edge_file(capsys):
     assert "edge file" in err
 
 
+@pytest.mark.parametrize("method, flag, value, param", [("mst", "--k", "3", "k"),
+                                                        ("knn", "--sigma-d", "2", "sigma_d"),
+                                                        ("knn", "--edges", "x.txt", "manual_edges")])
+def test_graph_parameter_of_another_method_is_rejected(capsys, method, flag, value, param):
+    code, stdout, err = run(capsys, "graph", "--layout", LAYOUT39, "--method", method, flag, value)
+    assert code == 1
+    assert stdout == "" and err == f"error: method {method!r} does not take {param}\n"
+
+
+def test_graph_parameter_at_its_default_counts_as_unset(capsys):
+    code, stdout, _ = run(capsys, "graph", "--layout", LAYOUT39,
+                          "--method", "mst", "--sigma-d", "0", "--k", "2")
+    assert code == 0
+    assert "edges=38" in stdout
+
+
 def test_graph_bad_method_is_usage_error(capsys):
     code, _, err = run(capsys, "graph", "--layout", LAYOUT39, "--method", "voronoi")
     assert code == 1
@@ -267,6 +283,26 @@ def test_run_config_file_with_overrides(synth_dir, tmp_path, capsys):
     assert (out / "round01_model.npz").exists()
 
 
+def test_run_config_other_method_parameter_fails_before_samples_load(synth_dir, tmp_path,
+                                                                    capsys, monkeypatch):
+    monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"layout = {synth_dir / 'layout.txt'}\n"
+                        f"manifest = {synth_dir / 'manifest.txt'}\n"
+                        "method = knn\nsigma_d = 2\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: method 'knn' does not take sigma_d\n"
+
+
+def test_run_config_repeated_key_names_file_and_line(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("epochs = 5\n# the same key again\nepochs = 50\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg_path))
+    assert code == 2
+    assert err == f"data error: {cfg_path}:3: duplicate key 'epochs'\n"
+
+
 def test_run_config_unknown_key(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("flux_capacitor = 1\n")
@@ -420,6 +456,18 @@ def test_eval_mismatched_manifest_is_data_error(train_dir, tmp_path, capsys, lay
     assert code == 2
 
 
+def test_eval_channel_mismatch_fails_before_samples_load(train_dir, synth_dir, tmp_path,
+                                                        capsys, monkeypatch):
+    from taxelsnn import generate_synthetic
+    generate_synthetic(tmp_path, load_layout(synth_dir / "layout.txt"), num_classes=2,
+                       samples_per_class=2, duration=0.2, num_channels=2, seed=1)
+    monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
+    code, _, err = run(capsys, "eval", "--checkpoint", str(train_dir / "round01_model.npz"),
+                       "--manifest", str(tmp_path / "manifest.txt"))
+    assert code == 2
+    assert err == "data error: manifest has 2 channels, the checkpoint expects 1\n"
+
+
 def test_eval_sample_with_late_header_line_is_data_error(train_dir, synth_dir, tmp_path, capsys):
     data = tmp_path / "data"
     (data / "samples").mkdir(parents=True)
@@ -525,7 +573,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_import_loads_no_process_pool():
-    # only run_rounds on two or more workers needs them; eval never does
+    # only run_rounds needs them; eval never does
     probe = ("import sys, taxelsnn.cli; "
              "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], env=package_env(),

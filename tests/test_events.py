@@ -97,6 +97,8 @@ def test_binning_idempotent_on_bin_centers(seed):
 def test_stream_validation():
     with pytest.raises(ValueError, match="timestamps"):
         make_stream([2.0], [0], [0], duration=1.0)
+    with pytest.raises(ValueError, match="timestamps"):   # NaN sorts last and is no number > 1
+        make_stream([np.nan, 0.5], [0, 0], [0, 0], duration=1.0)
     with pytest.raises(ValueError, match="taxel"):
         make_stream([0.5], [9], [0], duration=1.0)
     with pytest.raises(ValueError, match="channel"):

@@ -447,8 +447,8 @@ def pool_pids(monkeypatch):
     return pids
 
 
-def assert_no_worker_left(pids, environ):
-    assert len(pids) == 2
+def assert_no_worker_left(pids, environ, workers=2):
+    assert len(pids) == workers
     assert multiprocessing.active_children() == []
     assert not any(_alive(pid) for pid in pids)
     assert dict(os.environ) == environ
@@ -467,15 +467,45 @@ def test_run_rounds_on_workers_matches_in_process_rounds(feature, pool_pids, lay
     pooled = run_rounds(dataset, net, cfg)
     assert_no_worker_left(pool_pids, environ)
     for r, result in enumerate(pooled):
-        expected = run_round(dataset, net, cfg, r)
-        assert list(result.model.params) == list(expected.model.params)
-        for name, p in expected.model.params.items():
-            assert result.model.params[name].tobytes() == p.tobytes(), (r, name)
-        assert result.model.voting.tobytes() == expected.model.voting.tobytes()
-        assert result.metrics.csv_lines() == expected.metrics.csv_lines()
-        assert result.metrics.confusion.tobytes() == expected.metrics.confusion.tobytes()
-        assert result.test_indices.tobytes() == expected.test_indices.tobytes()
+        assert_same_round(result, run_round(dataset, net, cfg, r))
     assert pooled[0].metrics.csv_lines() != pooled[1].metrics.csv_lines()
+
+
+def assert_same_round(result, expected):
+    assert list(result.model.params) == list(expected.model.params)
+    for name, p in expected.model.params.items():
+        assert result.model.params[name].tobytes() == p.tobytes(), name
+    assert result.model.voting.tobytes() == expected.model.voting.tobytes()
+    assert result.metrics.csv_lines() == expected.metrics.csv_lines()
+    assert result.metrics.confusion.tobytes() == expected.metrics.confusion.tobytes()
+    assert result.test_indices.tobytes() == expected.test_indices.tobytes()
+
+
+def test_run_rounds_on_one_core_runs_on_one_worker(pool_pids, monkeypatch):
+    monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+    graph, data = tiny_dataset()
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
+                        feature_width=2, fc_sizes=(4, 4))
+    cfg = TrainConfig(epochs=1, rounds=2, seed=4)
+    environ = dict(os.environ)
+    pooled = run_rounds(data, net, cfg)
+    assert_no_worker_left(pool_pids, environ, workers=1)
+    for r, result in enumerate(pooled):
+        assert_same_round(result, run_round(data, net, cfg, r))
+
+
+def test_round_bytes_do_not_depend_on_the_round_count(layout39):
+    # Paper shape (39 taxels, T = 250, 2 channels, the default network) under this process's
+    # BLAS threads: one round alone and beside another must give the same bytes. With two or
+    # more usable cores, a round run in the caller with a multi-threaded BLAS differs in the
+    # last bits from one on a worker; a one-core box runs one worker either way.
+    rng = np.random.default_rng(0)
+    data = [((rng.random((250, 39, 2)) < 0.05).astype(float), c)
+            for c in range(12) for _ in range(4)]
+    net = NetworkConfig(graph=build_knn(layout39, 2), num_classes=12, num_channels=2)
+    alone = run_rounds(data, net, TrainConfig(epochs=1, rounds=1, seed=0))
+    beside = run_rounds(data, net, TrainConfig(epochs=1, rounds=2, seed=0))
+    assert_same_round(alone[0], beside[0])
 
 
 # a NaN sample fails calibration; an overflow fails it through the caller's warning filter
