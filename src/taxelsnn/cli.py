@@ -142,11 +142,10 @@ def cmd_graph(args) -> int:
 def cmd_synth(args) -> int:
     layout = load_layout(args.layout) if args.layout else radial_layout()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_layout(layout, out_dir / "layout.txt")
     given = {name: getattr(args, name) for name in _SYNTH_FLAGS.values()
              if getattr(args, name) is not None}
-    manifest = generate_synthetic(out_dir, layout, **given)
+    manifest = generate_synthetic(out_dir, layout, **given)   # checks its values before writing
+    save_layout(layout, out_dir / "layout.txt")
     print(f"wrote {len(manifest.entries)} samples across {manifest.num_classes} classes "
           f"to {out_dir}")
     print(f"manifest: {out_dir / 'manifest.txt'}")

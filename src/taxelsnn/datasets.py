@@ -181,9 +181,15 @@ def generate_synthetic(out_dir, layout: TaxelLayout, num_classes: int = 4,
         raise ValueError("num_classes must be >= 2")
     if num_classes > layout.num_taxels:
         raise ValueError("need at least one taxel per class")
+    if samples_per_class < 1 or num_channels < 1:
+        raise ValueError("samples_per_class and num_channels must be >= 1")
+    if not (0 <= duration < np.inf and 0 <= noise_rate < np.inf):   # NaN fails too
+        raise ValueError("duration and noise_rate must be finite and >= 0")
+    if not 0 < bin_width < np.inf:
+        raise ValueError("bin_width must be finite and > 0")
+    rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
 
     clusters = _assign_taxel_clusters(layout, num_classes, rng)
     templates = []

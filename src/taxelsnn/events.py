@@ -168,24 +168,18 @@ def load_event_file(path) -> EventStream:
         body = "\n".join(events)
     tokens = body.split()
     count = len(tokens) // 3
-    valid = all(map(_EVENT_LINE.fullmatch, events))
+    missing = _EVENT_PARSERS.keys() - header.keys()
     try:
+        if not all(map(_EVENT_LINE.fullmatch, events)) or (count and missing):
+            raise ValueError("an event line fails a check")
         times = np.fromiter(map(float, tokens[0::3]), np.float64, count)
         taxels, channels = _ids(tokens[1::3]), _ids(tokens[2::3])
-    except (ValueError, OverflowError):  # a token that is no number, or an id beyond int64
-        valid = False
-    if valid and count:
-        valid = (header.keys() == _EVENT_PARSERS.keys()
-                 and 0 <= taxels.min() and taxels.max() < header["taxels"]
-                 and 0 <= channels.min() and channels.max() < header["channels"]
-                 and 0 <= times.min() and times.max() <= header["duration"])
-    if not valid:
-        raise _first_bad_event(path, lines, start, header)
-    missing = _EVENT_PARSERS.keys() - header.keys()
-    if missing:
-        raise DataFormatError(f"{path}: missing header line(s): {', '.join(sorted(missing))}")
-    return EventStream(times, taxels, channels, duration=header["duration"],
-                       num_taxels=header["taxels"], num_channels=header["channels"])
+        if not missing:   # EventStream checks the id and time ranges
+            return EventStream(times, taxels, channels, duration=header["duration"],
+                               num_taxels=header["taxels"], num_channels=header["channels"])
+    except (ValueError, OverflowError):  # a bad line or token, an id beyond int64, or a range
+        raise _first_bad_event(path, lines, start, header) from None
+    raise DataFormatError(f"{path}: missing header line(s): {', '.join(sorted(missing))}")
 
 
 def _ids(tokens: list[str]) -> np.ndarray:

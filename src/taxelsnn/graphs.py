@@ -12,8 +12,9 @@ matrix (``adjacency_powers``); K is a setting of the network, not of the
 graph.
 
 Determinism rules (needed for reproducible runs): kNN distance ties break
-toward the lower taxel index; Kruskal considers edges ordered by
-(weight, min index, max index).
+toward the lower taxel index; the MST, built by Prim's algorithm, orders
+edges by (distance, min index, max index), a strict order under which the
+tree is unique.
 """
 from __future__ import annotations
 
@@ -77,13 +78,6 @@ class TactileGraph:
 
     def average_degree(self) -> float:
         return 2.0 * len(self.edges) / self.num_nodes
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
     def hash(self) -> str:
         """Digest of the topology; checkpoints use it to pin the graph."""
@@ -152,39 +146,22 @@ def build_knn(layout: TaxelLayout, k: int) -> TactileGraph:
     return build_manual(layout, ((i, j) for i, nbrs in enumerate(selections) for j in nbrs))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def minimum_spanning_tree(layout: TaxelLayout) -> list[tuple[int, int]]:
-    """Kruskal's MST over the complete Euclidean graph of the layout."""
-    n = layout.num_taxels
-    dist = layout.distances()
-    ranked = sorted(
-        ((dist[i, j], i, j) for i in range(n) for j in range(i + 1, n)),
-    )
-    uf = _UnionFind(n)
+    """Prim's MST over the complete Euclidean graph of the layout, edges in ascending order.
+
+    Edges compare by (distance, min index, max index). That order is strict, so the
+    tree is unique.
+    """
+    dist = layout.distances().tolist()
+    # each node outside the tree: its least edge (distance, i, j) to the tree, i < j
+    best = {v: (dist[0][v], 0, v) for v in range(1, len(dist))}
     tree = []
-    for _, i, j in ranked:
-        if uf.union(i, j):
-            tree.append((i, j))
-            if len(tree) == n - 1:
-                break
-    return tree
+    while best:
+        v = min(best, key=best.get)
+        tree.append(best.pop(v))
+        for u in best:
+            best[u] = min(best[u], (dist[v][u], min(u, v), max(u, v)))
+    return [(i, j) for _, i, j in sorted(tree)]
 
 
 def build_mst(layout: TaxelLayout, sigma_d: float) -> TactileGraph:

@@ -43,6 +43,10 @@ class TaxelLayout:
             names = tuple(self.names)
             if len(names) != pos.shape[0]:
                 raise ValueError("names length must match number of taxels")
+            # a layout file holds each name as one word before any '#'
+            bad = [name for name in names if name.split() != [name] or "#" in name]
+            if bad:
+                raise ValueError(f"taxel name {bad[0]!r} is empty or holds whitespace or '#'")
             object.__setattr__(self, "names", names)
 
     @property

@@ -317,9 +317,8 @@ def _config_from_dict(doc: dict) -> NetworkConfig:
 
 
 def save_model(model: Model, path, extra: dict | None = None) -> None:
-    """Self-describing .npz checkpoint: config, graph hash, named tensors."""
+    """Self-describing .npz checkpoint: config, graph hash, named tensors; no voting matrix."""
     arrays = {f"param/{name}": arr for name, arr in model.params.items()}
-    arrays["voting"] = model.voting
     arrays["config_json"] = np.array(json.dumps(_config_to_dict(model.config)))
     if extra:
         arrays["extra_json"] = np.array(json.dumps(extra))
@@ -329,8 +328,9 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
 def load_model(path):
     """Load a checkpoint; validates graph hash, every tensor shape and finiteness.
 
-    Returns (model, extra_dict). A file that is no readable .npz archive, or
-    that fails a check, is a DataFormatError naming the file.
+    Returns (model, extra_dict). The voting matrix is derived from the config; the
+    ``voting`` member of older files is ignored. A file that is no readable .npz
+    archive, or that fails a check, is a DataFormatError naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -347,9 +347,8 @@ def load_model(path):
 
 def _read_checkpoint(zf):
     """(model, extra) from an open checkpoint archive; a failed check is a DataFormatError."""
-    for key in ("config_json", "voting"):
-        if key not in zf:
-            raise DataFormatError(f"missing {key!r}")
+    if "config_json" not in zf:
+        raise DataFormatError("missing 'config_json'")
     try:
         cfg = _config_from_dict(json.loads(str(zf["config_json"])))
     except DataFormatError:
@@ -367,15 +366,10 @@ def _read_checkpoint(zf):
         if not np.all(np.isfinite(arr)):
             raise DataFormatError(f"tensor {name!r} holds non-finite values")
         params[name] = arr
-    voting = np.asarray(zf["voting"], dtype=np.float64)
-    if voting.shape != (cfg.num_classes, cfg.num_output_neurons):
-        raise DataFormatError(f"voting matrix shape {voting.shape} does not match config")
-    if not np.all(np.isfinite(voting)):
-        raise DataFormatError("voting matrix holds non-finite values")
     try:
         extra = json.loads(str(zf["extra_json"])) if "extra_json" in zf else {}
     except json.JSONDecodeError:
         extra = None
     if not isinstance(extra, dict):
         raise DataFormatError("extra_json is not a JSON object")
-    return Model(cfg, params, voting), extra
+    return Model(cfg, params, voting_matrix(cfg.num_classes, cfg.num_output_neurons)), extra

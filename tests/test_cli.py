@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taxelsnn import GraphSpec, build_graph, build_manual, load_edge_list, load_layout
+from taxelsnn import (GraphSpec, build_graph, build_manual, load_edge_list, load_layout,
+                      load_model, voting_matrix)
 from taxelsnn.cli import build_parser, main, load_run_config, RunConfig
 from tests.conftest import DATA_DIR, package_env
 
@@ -162,6 +163,18 @@ def test_synth_repeat_seed_identical(capsys, tmp_path):
 def test_synth_zero_classes_fails(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "z"), "--classes", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--bin-width", "0"), ("--bin-width", "inf"),
+                                         ("--channels", "0"), ("--samples-per-class", "0"),
+                                         ("--noise-rate", "-1"), ("--noise-rate", "nan"),
+                                         ("--duration", "-1"), ("--duration", "inf")])
+def test_synth_value_its_loader_rejects_fails_and_writes_nothing(flag, value, capsys, tmp_path):
+    out = tmp_path / "z"
+    code, _, err = run(capsys, "synth", "--out", str(out), "--classes", "2",
+                       "--samples-per-class", "2", "--duration", "0.2", flag, value)
+    assert code == 1 and err.startswith("error:")
+    assert not out.exists()
 
 
 # --- train ---
@@ -499,7 +512,7 @@ def test_eval_tampered_graph_hash_is_data_error(train_dir, synth_dir, tmp_path, 
     assert "graph hash" in err
 
 
-@pytest.mark.parametrize("damage", ["drop config_json", "drop voting", "config_json {oops",
+@pytest.mark.parametrize("damage", ["drop config_json", "config_json {oops",
                                     "config_json {}", "extra_json {oops", "extra_json 3",
                                     "edge [0, 99]", "edge [-1, 2]", "file text", "file npy",
                                     "file first-half", "file corrupted-compressed"])
@@ -514,7 +527,7 @@ def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, t
             damaged.write_text("round 1\n")
         elif value == "npy":
             with open(damaged, "wb") as fh:   # an .npy array under an .npz name
-                np.save(fh, blobs["voting"])
+                np.save(fh, blobs["param/fc1.b"])
         elif value == "first-half":
             data = checkpoint.read_bytes()
             damaged.write_bytes(data[:len(data) // 2])
@@ -542,6 +555,30 @@ def test_eval_malformed_checkpoint_is_data_error(damage, train_dir, synth_dir, t
                        "--manifest", str(synth_dir / "manifest.txt"))
     assert code == 2
     assert err.startswith("data error:") and str(damaged) in err
+
+
+def test_eval_checkpoint_with_stored_voting_matrix_loads_the_same(train_dir, synth_dir,
+                                                                   tmp_path, capsys):
+    """Older checkpoints also hold the voting matrix; it loads as the derived one and scores alike."""
+    checkpoint = train_dir / "round01_model.npz"
+    with np.load(checkpoint, allow_pickle=False) as zf:
+        blobs = {k: zf[k] for k in zf.files}
+    assert "voting" not in blobs
+    model, _ = load_model(checkpoint)
+    older = tmp_path / "older.npz"
+    np.savez(older, **blobs, voting=voting_matrix(model.config.num_classes,
+                                                  model.config.num_output_neurons))
+    assert load_model(older)[0].voting.tobytes() == model.voting.tobytes()
+    outputs = []
+    for ckpt in (checkpoint, older):
+        out_dir = tmp_path / ckpt.stem
+        code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--manifest",
+                           str(synth_dir / "manifest.txt"), "--split", "all",
+                           "--out-dir", str(out_dir))
+        assert code == 0, err
+        outputs.append({f.name.removeprefix(ckpt.stem): f.read_bytes()
+                        for f in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2
 
 
 def readme_blocks(lang):

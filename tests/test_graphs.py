@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taxelsnn import (GraphSpec, TactileGraph, TaxelLayout, adjacency_powers, build_knn,
-                      build_manual, build_mst, normalize_adjacency)
+                      build_manual, build_mst, normalize_adjacency, radial_layout)
 from taxelsnn.graphs import build_graph, knn_selections, minimum_spanning_tree
+
+
+def find_root(parent, x):
+    """Root of x in a union-find forest held as a parent list."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
 
 def brute_force_mst_weight(layout):
@@ -17,17 +24,10 @@ def brute_force_mst_weight(layout):
     best = math.inf
     for tree in combinations(combinations(range(n), 2), n - 1):
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         weight = 0.0
         spanning = True
         for i, j in tree:
-            ri, rj = find(i), find(j)
+            ri, rj = find_root(parent, i), find_root(parent, j)
             if ri == rj:
                 spanning = False
                 break
@@ -36,6 +36,20 @@ def brute_force_mst_weight(layout):
         if spanning:
             best = min(best, weight)
     return best
+
+
+def kruskal_mst(layout):
+    """Kruskal's scan over every pair sorted by (distance, i, j), i < j (reference)."""
+    n = layout.num_taxels
+    dist = layout.distances()
+    parent = list(range(n))
+    tree = []
+    for _, i, j in sorted((dist[i, j], i, j) for i, j in combinations(range(n), 2)):
+        ri, rj = find_root(parent, i), find_root(parent, j)
+        if ri != rj:
+            parent[rj] = ri
+            tree.append((i, j))
+    return tree
 
 
 def random_layout(seed, n):
@@ -132,7 +146,7 @@ def test_knn_k_out_of_range():
 @settings(max_examples=25, deadline=None)
 def test_knn_every_node_covered_at_k1(seed, n):
     g = build_knn(random_layout(seed, n), 1)
-    assert np.all(g.degrees() >= 1)
+    assert np.all(g.adjacency_norm.any(axis=1))
 
 
 @given(st.integers(0, 500))
@@ -182,6 +196,28 @@ def test_mst_weight_matches_exhaustive_enumeration(seed, n):
     dist = lay.distances()
     weight = sum(dist[i, j] for i, j in minimum_spanning_tree(lay))
     assert weight == pytest.approx(brute_force_mst_weight(lay), rel=1e-12)
+
+
+def tie_heavy_layouts():
+    """Layouts whose pair distances tie often: rings, grid prefixes, points on a 1/3 grid."""
+    yield radial_layout()
+    yield radial_layout((10,), (1.0,), include_center=False)
+    yield radial_layout((8, 8, 8), (1.0, 2.0, 3.0), include_center=False)
+    grid = [(x, y) for y in range(7) for x in range(7)]
+    for n in (2, 3, 5, 8, 13, 21, 34, 49):
+        yield TaxelLayout(np.array(grid[:n], dtype=np.float64))
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 3.0, None):
+        for _ in range(8):
+            pts = rng.uniform(0, 3, size=(int(rng.integers(2, 25)), 2))
+            pts = np.unique(pts if scale is None else np.round(pts * scale) / scale, axis=0)
+            yield TaxelLayout(pts)
+
+
+def test_mst_matches_kruskal_edge_for_edge(layout39, layout10):
+    """Prim's tree, in its returned order, is the one Kruskal's scan picks under the same ties."""
+    for lay in (layout39, layout10, *tie_heavy_layouts()):
+        assert minimum_spanning_tree(lay) == kruskal_mst(lay)
 
 
 @given(st.integers(0, 300), st.integers(2, 9))

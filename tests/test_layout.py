@@ -65,6 +65,18 @@ def test_layout_parse_errors_name_the_line(tmp_path):
         load_layout(path)
 
 
+@pytest.mark.parametrize("name", ["a b", "", "t#1", "tab\there", "new\nline"])
+def test_layout_rejects_name_a_layout_file_cannot_hold(name):
+    with pytest.raises(ValueError, match="taxel name"):
+        TaxelLayout(np.array([[0.0, 0.0], [1.0, 0.0]]), (name, "c"))
+
+
+def test_layout_names_round_trip_through_a_file(tmp_path):
+    lay = TaxelLayout(np.array([[0.0, 0.0], [1.0, 0.0]]), ("a-b", "c_1"))
+    save_layout(lay, tmp_path / "lay.txt")
+    assert load_layout(tmp_path / "lay.txt").names == lay.names
+
+
 def test_layout_missing_file():
     with pytest.raises(DataFormatError, match="not found"):
         load_layout("no/such/file.txt")
