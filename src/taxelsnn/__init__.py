@@ -10,7 +10,7 @@ from .model import (NetworkConfig, Model, init_model, calibrate, model_forward, 
 from .training import (TrainConfig, Metrics, voting_loss, backward, adam_step, AdamState,
                        stratified_split, train, evaluate, confusion_matrix, run_round,
                        run_rounds, summarize_rounds, one_hot)
-from .events import EventStream, SpikeTensor, bin_events, load_event_file, write_event_file
+from .events import EventStream, bin_events, load_event_file, write_event_file
 from .datasets import DatasetManifest, load_manifest, write_manifest, load_samples, generate_synthetic
 
 __version__ = "0.1.0"

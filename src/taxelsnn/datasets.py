@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, content_lines, read_header, read_lines
-from .events import (EventStream, SpikeTensor, bin_events, load_event_file, parse_header_line,
-                     write_event_file)
+from .events import EventStream, bin_events, load_event_file, parse_header_line, write_event_file
 from .layout import TaxelLayout
 
 
@@ -113,10 +112,11 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_samples(manifest: DatasetManifest):
-    """Bin every referenced event file; returns list of (SpikeTensor, label).
+    """Bin every referenced event file; returns a list of (spikes, label).
 
-    Streams shorter than the longest one are padded to a common timestep
-    count so the averaging window is identical across samples.
+    Each spikes array is read-only uint8 (T, N, C), as bin_events gives it.
+    Samples shorter than the longest one get zero steps appended up to its
+    T, so the averaging window is identical across samples.
     """
     binned = []
     for sample_path, label in manifest.entries:
@@ -127,27 +127,17 @@ def load_samples(manifest: DatasetManifest):
                 f"{stream.num_channels} channels, manifest says "
                 f"{manifest.num_taxels} / {manifest.num_channels}")
         binned.append((bin_events(stream, manifest.bin_width), label))
-    if not binned:
-        return []
-    t_max = max(tensor.num_steps for tensor, _ in binned)
+    t_max = max((len(spikes) for spikes, _ in binned), default=0)
     dataset = []
-    for tensor, label in binned:
-        if tensor.num_steps < t_max:
-            pad = np.zeros((t_max - tensor.num_steps, tensor.num_taxels,
-                            tensor.num_channels), dtype=tensor.data.dtype)
-            tensor = SpikeTensor(np.concatenate([tensor.data, pad]))
-        dataset.append((tensor, label))
+    for spikes, label in binned:
+        if len(spikes) < t_max:
+            spikes = np.pad(spikes, ((0, t_max - len(spikes)), (0, 0), (0, 0)))
+            spikes.setflags(write=False)
+        dataset.append((spikes, label))
     return dataset
 
 
 TEMPLATE_RATES = (20.0, 40.0)   # events/s bounds of a class template's firing rates
-
-
-@dataclass(frozen=True)
-class ClassTemplate:
-    taxels: tuple[int, ...]
-    rates: np.ndarray   # events/s per (owned taxel, channel)
-    onset: float        # seconds into the recording when activity starts
 
 
 def _assign_taxel_clusters(layout: TaxelLayout, num_classes: int, rng) -> list[list[int]]:
@@ -192,34 +182,26 @@ def generate_synthetic(out_dir, layout: TaxelLayout, num_classes: int = 4,
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
 
     clusters = _assign_taxel_clusters(layout, num_classes, rng)
-    templates = []
-    for taxels in clusters:
-        rates = rng.uniform(*TEMPLATE_RATES, size=(len(taxels), num_channels))
-        onset = float(rng.uniform(0.0, 0.2 * duration))
-        templates.append(ClassTemplate(tuple(taxels), rates, onset))
+    # a class template: its taxels, their rates per (taxel, channel), its onset in seconds
+    templates = [(taxels, rng.uniform(*TEMPLATE_RATES, size=(len(taxels), num_channels)),
+                  float(rng.uniform(0.0, 0.2 * duration))) for taxels in clusters]
+    # Poisson sources as (taxel, channel, rate, start): a source fires on [start, duration)
+    noise = [(taxel, ch, noise_rate, 0.0) for taxel in range(layout.num_taxels)
+             for ch in range(num_channels)] if noise_rate > 0 else []
 
     entries = []
-    for cls, template in enumerate(templates):
+    for cls, (owned, rates, class_onset) in enumerate(templates):
         for s in range(samples_per_class):
-            times, taxels, channels = [], [], []
-            onset = float(np.clip(template.onset + rng.normal(0.0, 0.02 * duration),
+            onset = float(np.clip(class_onset + rng.normal(0.0, 0.02 * duration),
                                   0.0, 0.5 * duration))
-            window = duration - onset
-            for ti, taxel in enumerate(template.taxels):
-                for ch in range(num_channels):
-                    count = rng.poisson(template.rates[ti, ch] * window)
-                    ts = rng.uniform(onset, duration, size=count)
-                    times.extend(ts)
-                    taxels.extend([taxel] * count)
-                    channels.extend([ch] * count)
-            if noise_rate > 0:
-                for taxel in range(layout.num_taxels):
-                    for ch in range(num_channels):
-                        count = rng.poisson(noise_rate * duration)
-                        ts = rng.uniform(0.0, duration, size=count)
-                        times.extend(ts)
-                        taxels.extend([taxel] * count)
-                        channels.extend([ch] * count)
+            sources = [(taxel, ch, rates[ti, ch], onset) for ti, taxel in enumerate(owned)
+                       for ch in range(num_channels)] + noise
+            times, taxels, channels = [], [], []
+            for taxel, ch, rate, start in sources:
+                count = rng.poisson(rate * (duration - start))
+                times.extend(rng.uniform(start, duration, size=count))
+                taxels.extend([taxel] * count)
+                channels.extend([ch] * count)
             stream = EventStream(np.array(times), np.array(taxels), np.array(channels),
                                  duration=duration, num_taxels=layout.num_taxels,
                                  num_channels=num_channels)

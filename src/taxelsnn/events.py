@@ -108,43 +108,15 @@ class EventStream:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class SpikeTensor:
-    """Binary spikes on the (timestep, taxel, channel) grid."""
-
-    data: np.ndarray  # (T, N, C), values in {0, 1}
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValueError(f"spike data must be (T, N, C), got shape {data.shape}")
-        # one max() pass for unsigned or bool data, such as bin_events' uint8 grids
-        if data.size and not (data.max() <= 1 if data.dtype.kind in "bu"
-                              else np.isin(data, (0, 1)).all()):
-            raise ValueError("spike data must be binary")
-        data = data.astype(np.uint8)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def num_steps(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_taxels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[2]
-
-
 def num_bins(duration: float, bin_width: float) -> int:
     return max(1, math.ceil(duration / bin_width - _BIN_EPS))
 
 
-def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
-    """Discretize a stream onto num_bins(duration, bin_width) timesteps."""
+def bin_events(stream: EventStream, bin_width: float) -> np.ndarray:
+    """A stream's spikes: a read-only uint8 (T, N, C) array of 0 and 1.
+
+    T is num_bins(duration, bin_width); a cell is 1 iff an event falls in it.
+    """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     t_steps = num_bins(stream.duration, bin_width)
@@ -153,7 +125,8 @@ def bin_events(stream: EventStream, bin_width: float) -> SpikeTensor:
         idx = np.floor(stream.times / bin_width + _BIN_EPS).astype(np.int64)
         idx = np.minimum(idx, t_steps - 1)  # events at exactly `duration`
         data[idx, stream.taxels, stream.channels] = 1
-    return SpikeTensor(data)
+    data.setflags(write=False)
+    return data
 
 
 def load_event_file(path) -> EventStream:

@@ -201,7 +201,7 @@ def model_forward(model: Model, sample, relaxed: bool = False):
 def _feature_input(model: Model, sample):
     """The checked (T, N, C) sample and the feature layer's input: hops (tagconv) or x (mlp)."""
     cfg = model.config
-    x = np.asarray(getattr(sample, "data", sample), dtype=np.float64)
+    x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"sample must be (T, N, C), got shape {x.shape}")
     t_steps, n, c = x.shape

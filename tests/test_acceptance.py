@@ -132,7 +132,7 @@ def clean_run(layout10, tmp_path_factory):
                                   noise_rate=0.0, seed=42)
     dataset = load_samples(manifest)
     assert len(dataset) == 160
-    assert dataset[0][0].num_steps == 50
+    assert len(dataset[0][0]) == 50
     graph = build_knn(layout10, 2)
     net = NetworkConfig(graph=graph, num_classes=4, num_channels=2)
     results = run_rounds(dataset, net, TrainConfig(epochs=50, rounds=1, seed=1))

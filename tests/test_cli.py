@@ -207,6 +207,27 @@ def test_train_missing_manifest_is_data_error(capsys, synth_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("synth", "--out", "{file}"), "file"),
+    (("train", "--layout", "{layout}", "--manifest", "{manifest}", "--out-dir", "{file}"), "file"),
+    (("eval", "--checkpoint", "{checkpoint}", "--manifest", "{manifest}", "--split", "all",
+      "--out-dir", "{file}"), "file"),
+    (("graph", "--layout", "{dir}"), "dir"),
+    (("train", "--layout", "{dir}", "--manifest", "{manifest}"), "dir"),
+    (("train", "--config", "{dir}"), "dir")],
+    ids=["synth-out-file", "train-out-dir-file", "eval-out-dir-file", "graph-layout-dir",
+         "train-layout-dir", "train-config-dir"])
+def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path, argv, bad):
+    paths = {"file": tmp_path / "afile", "dir": tmp_path / "adir",
+             "layout": synth_dir / "layout.txt", "manifest": synth_dir / "manifest.txt",
+             "checkpoint": train_dir / "round01_model.npz"}
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("data error:") and err.count("\n") == 1 and str(paths[bad]) in err
+
+
 @pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x", "bin_width 0",
                                  "bin_width -0.02", "bin_width nan", "bin_width inf",
                                  "taxels 39.7"])

@@ -77,7 +77,7 @@ def outcome(load, path):
         return type(exc), str(exc)
     arrays = [(a.dtype.str, a.shape, a.tobytes())
               for a in (stream.times, stream.taxels, stream.channels)]
-    spikes = bin_events(stream, 0.02).data
+    spikes = bin_events(stream, 0.02)
     return (arrays, stream.duration, stream.num_taxels, stream.num_channels,
             spikes.shape, spikes.tobytes())
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxelsnn import DataFormatError, EventStream, SpikeTensor, bin_events, load_event_file, write_event_file
+from taxelsnn import DataFormatError, EventStream, bin_events, load_event_file, write_event_file
 from taxelsnn.events import num_bins
 
 
@@ -14,53 +14,54 @@ def make_stream(times, taxels, channels, duration=1.0, n=4, c=2):
 
 def test_empty_stream_bins_to_zeros():
     stream = make_stream([], [], [], duration=1.0)
-    tensor = bin_events(stream, 0.02)
-    assert tensor.data.shape == (50, 4, 2)
-    assert tensor.data.sum() == 0
+    spikes = bin_events(stream, 0.02)
+    assert spikes.shape == (50, 4, 2)
+    assert spikes.sum() == 0
 
 
 def test_single_event_bin_index():
     stream = make_stream([0.03], [2], [1], duration=0.1)
-    tensor = bin_events(stream, 0.02)
-    assert tensor.num_steps == 5
-    assert tensor.data[1, 2, 1] == 1
-    assert tensor.data.sum() == 1
+    spikes = bin_events(stream, 0.02)
+    assert spikes.dtype == np.uint8 and not spikes.flags.writeable
+    assert len(spikes) == 5
+    assert spikes[1, 2, 1] == 1
+    assert spikes.sum() == 1
 
 
 def test_five_second_stream_has_250_bins():
     assert num_bins(5.0, 0.02) == 250
     assert num_bins(6.5, 0.02) == 325
     stream = make_stream([4.9999], [0], [0], duration=5.0)
-    assert bin_events(stream, 0.02).num_steps == 250
+    assert len(bin_events(stream, 0.02)) == 250
 
 
 def test_boundary_timestamps_bin_correctly():
     # 0.06 / 0.02 is 2.9999999999999996 in floats; must land in bin 3
     stream = make_stream([0.06], [0], [0], duration=0.2)
-    tensor = bin_events(stream, 0.02)
-    assert tensor.data[3, 0, 0] == 1
+    spikes = bin_events(stream, 0.02)
+    assert spikes[3, 0, 0] == 1
 
 
 def test_event_at_exact_duration_goes_to_last_bin():
     stream = make_stream([1.0], [0], [0], duration=1.0)
-    tensor = bin_events(stream, 0.02)
-    assert tensor.data[49, 0, 0] == 1
+    spikes = bin_events(stream, 0.02)
+    assert spikes[49, 0, 0] == 1
 
 
 @pytest.mark.parametrize("duration", [0.0, 1e-12])
 def test_recording_shorter_than_a_bin_gets_one_step(duration):
     assert num_bins(duration, 0.02) == 1
-    tensor = bin_events(make_stream([0.0], [2], [1], duration=duration), 0.02)
-    assert tensor.data.shape == (1, 4, 2)
-    assert tensor.data[0, 2, 1] == 1 and tensor.data.sum() == 1
-    assert bin_events(make_stream([], [], [], duration=duration), 0.02).num_steps == 1
+    spikes = bin_events(make_stream([0.0], [2], [1], duration=duration), 0.02)
+    assert spikes.shape == (1, 4, 2)
+    assert spikes[0, 2, 1] == 1 and spikes.sum() == 1
+    assert len(bin_events(make_stream([], [], [], duration=duration), 0.02)) == 1
 
 
 def test_multiple_events_clamp_to_one():
     stream = make_stream([0.001, 0.002, 0.003], [1, 1, 1], [0, 0, 0], duration=0.1)
-    tensor = bin_events(stream, 0.02)
-    assert tensor.data[0, 1, 0] == 1
-    assert tensor.data.sum() == 1
+    spikes = bin_events(stream, 0.02)
+    assert spikes[0, 1, 0] == 1
+    assert spikes.sum() == 1
 
 
 def test_bin_width_must_be_positive():
@@ -75,12 +76,11 @@ def test_binning_conserves_event_count(seed):
     count = int(rng.integers(0, 40))
     stream = make_stream(rng.uniform(0, 1, count), rng.integers(0, 4, count),
                          rng.integers(0, 2, count), duration=1.0)
-    tensor = bin_events(stream, 0.05)
-    cells = np.argwhere(tensor.data)
-    assert tensor.data.sum() <= count
+    spikes = bin_events(stream, 0.05)
+    assert spikes.sum() <= count
     distinct = {(int(np.floor(t / 0.05 + 1e-9)), int(n), int(ch))
                 for t, n, ch in zip(stream.times, stream.taxels, stream.channels)}
-    assert tensor.data.sum() == len(distinct)
+    assert spikes.sum() == len(distinct)
 
 
 @given(st.integers(0, 300))
@@ -88,10 +88,9 @@ def test_binning_conserves_event_count(seed):
 def test_binning_idempotent_on_bin_centers(seed):
     rng = np.random.default_rng(seed)
     data = (rng.random((10, 4, 2)) < 0.3).astype(np.uint8)
-    tensor = SpikeTensor(data)
-    t_idx, n_idx, c_idx = np.nonzero(tensor.data)   # one event at the centre of each set cell
+    t_idx, n_idx, c_idx = np.nonzero(data)   # one event at the centre of each set cell
     rebinned = bin_events(make_stream((t_idx + 0.5) * 0.02, n_idx, c_idx, duration=10 * 0.02), 0.02)
-    np.testing.assert_array_equal(rebinned.data, tensor.data)
+    np.testing.assert_array_equal(rebinned, data)
 
 
 def test_stream_validation():
@@ -109,28 +108,6 @@ def test_stream_sorts_events():
     stream = make_stream([0.9, 0.1, 0.5], [0, 1, 2], [0, 0, 0])
     np.testing.assert_allclose(stream.times, [0.1, 0.5, 0.9])
     np.testing.assert_array_equal(stream.taxels, [1, 2, 0])
-
-
-def test_spike_tensor_must_be_binary():
-    with pytest.raises(ValueError, match="binary"):
-        SpikeTensor(np.full((2, 2, 1), 3.0))
-
-
-@pytest.mark.parametrize("value", [np.uint8(2), np.int64(-1), np.int64(2), 0.5, np.nan])
-def test_spike_tensor_rejects_each_non_binary_value(value):
-    data = np.zeros((2, 2, 1), dtype=np.asarray(value).dtype)
-    data[1, 0, 0] = value
-    with pytest.raises(ValueError, match="binary"):
-        SpikeTensor(data)
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
-def test_spike_tensor_accepts_binary_data(dtype):
-    data = np.array([[[0], [1]], [[1], [1]]], dtype=dtype)
-    tensor = SpikeTensor(data)
-    assert tensor.data.dtype == np.uint8
-    assert tensor.data.tobytes() == bytes([0, 1, 1, 1])
-    assert SpikeTensor(np.zeros((0, 2, 1), dtype=dtype)).num_steps == 0
 
 
 # --- wire format ---

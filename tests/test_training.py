@@ -388,7 +388,7 @@ def test_run_rounds_default_network_has_gradient_at_init(layout10, tmp_path):
     model = result.model
     train_idx = sorted(set(range(len(dataset))) - set(result.test_indices.tolist()))
     sample, label = dataset[train_idx[0]]
-    assert sample.num_steps == 50
+    assert len(sample) == 50
     _, trace = model_forward(model, sample)
     grads = backward(model, trace, one_hot(label, 4))
     for name, g in grads.items():
