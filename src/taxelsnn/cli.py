@@ -119,8 +119,6 @@ def _graph_spec(settings: RunConfig) -> GraphSpec:
         if not settings.edges:
             raise _UsageError("manual method needs an edge file (--edges)")
         given["manual_edges"] = tuple(load_edge_list(settings.edges))
-    elif "manual_edges" in given:
-        given["manual_edges"] = ()   # rejected below without reading the file
     return GraphSpec(settings.method, **given)
 
 
@@ -184,11 +182,10 @@ def cmd_train(args) -> int:
                                lif=LifConfig(**_owned(cfg, LifConfig)),
                                **_owned(cfg, NetworkConfig))
     train_cfg = TrainConfig(**_owned(cfg, TrainConfig))
-    dataset = load_samples(manifest)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = run_rounds(dataset, net_config, train_cfg)
+    results = run_rounds(load_samples(manifest), net_config, train_cfg)
     for r, result in enumerate(results, start=1):
         result.metrics.write_csv(out_dir / f"round{r:02d}_metrics.csv")
         extra = {
@@ -214,27 +211,28 @@ def cmd_eval(args) -> int:
                              ("channels", manifest.num_channels, model.config.num_channels)):
         if have != want:
             raise DataFormatError(f"manifest has {have} {what}, the checkpoint expects {want}")
-    dataset = load_samples(manifest)
+    count = len(manifest.entries)
     if args.split == "test":
         if "test_indices" not in extra:
             raise DataFormatError("checkpoint carries no test split; rerun with --split all")
-        if extra.get("manifest_entries") != len(dataset):
+        if extra.get("manifest_entries") != count:
             raise DataFormatError(
                 f"checkpoint was trained on a manifest with "
-                f"{extra.get('manifest_entries')} entries, this one has {len(dataset)}")
+                f"{extra.get('manifest_entries')} entries, this one has {count}")
         indices = extra["test_indices"]
         if not (isinstance(indices, list) and all(type(i) is int for i in indices)
-                and len(set(indices).intersection(range(len(dataset)))) == len(indices)):
+                and len(set(indices).intersection(range(count))) == len(indices)):
             raise DataFormatError(f"checkpoint {args.checkpoint}: test_indices must be "
-                                  f"distinct ints in 0..{len(dataset) - 1}")
+                                  f"distinct ints in 0..{count - 1}")
     else:
-        indices = range(len(dataset))
+        indices = range(count)
+    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = load_samples(manifest)
     samples = [dataset[i][0] for i in indices]
     labels = [dataset[i][1] for i in indices]
     loss, acc, preds = evaluate(model, samples, labels)
     cm = confusion_matrix(labels, preds, model.config.num_classes)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.checkpoint).stem
     (out_dir / f"{stem}_accuracy.txt").write_text(
         f"samples {len(samples)}\nloss {loss!r}\naccuracy {acc!r}\n")

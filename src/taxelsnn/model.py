@@ -116,9 +116,6 @@ class Model:
     params: dict[str, np.ndarray]
     voting: np.ndarray
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def init_model(cfg: NetworkConfig, seed: int) -> Model:
     """Uniform fan-in initialization, deterministic under the seed.

@@ -14,11 +14,12 @@ recurrence in place in the same operation order as the per-step formula.
 
 Optimization is Adam with bias correction, in place, one sample per step.
 
-``run_round`` is one round of the protocol, fixed by ``(cfg, r)``. The
-rounds share nothing but their inputs, so ``run_rounds`` runs every round
-on a spawned worker process, at most one per usable core (the process's
-CPU affinity), each with one BLAS thread: a round gives the same bytes
-however many rounds run beside it.
+``train`` returns one round of the protocol, and ``run_round`` is that
+round as a function of ``(cfg, r)`` alone. The rounds share nothing but
+their inputs, so ``run_rounds`` runs each on a spawned worker process, at
+most one per usable core (the process's CPU affinity), each with one BLAS
+thread: a round gives the same bytes however many run beside it. A worker
+ends when the caller's pipe to it closes.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,6 @@ class TrainConfig:
 class Metrics:
     """Per-epoch loss/accuracy curves and the final confusion matrix."""
 
-    epochs: list[int] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     test_loss: list[float] = field(default_factory=list)
     test_accuracy: list[float] = field(default_factory=list)
@@ -71,13 +72,19 @@ class Metrics:
 
     def csv_lines(self) -> list[str]:
         lines = ["epoch,train_loss,test_loss,test_acc"]
-        for e, tr, te, acc in zip(self.epochs, self.train_loss,
-                                  self.test_loss, self.test_accuracy):
+        for e, (tr, te, acc) in enumerate(zip(self.train_loss, self.test_loss,
+                                              self.test_accuracy), start=1):
             lines.append(f"{e},{tr:.6f},{te:.6f},{acc:.6f}")
         return lines
 
     def write_csv(self, path) -> None:
         Path(path).write_text("\n".join(self.csv_lines()) + "\n")
+
+
+class RoundResult(NamedTuple):
+    model: Model
+    metrics: Metrics
+    test_indices: np.ndarray
 
 
 def one_hot(label: int, num_classes: int) -> np.ndarray:
@@ -222,13 +229,13 @@ def write_confusion(cm: np.ndarray, class_names, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def train(model: Model, dataset, cfg: TrainConfig, r: int = 0):
+def train(model: Model, dataset, cfg: TrainConfig, r: int = 0) -> RoundResult:
     """Optimize the model on a stratified split of (sample, label) pairs.
 
     Runs per-sample forward/backward/Adam over reshuffled training data
     each epoch, evaluating loss and accuracy on the held-out split after
     every epoch; the split is seeded by cfg.seed, the shuffles by
-    cfg.seed + r. Returns (model, metrics, (train_idx, test_idx)).
+    cfg.seed + r. Returns the round: ``(model, metrics, test_indices)``.
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     train_idx, test_idx = stratified_split(labels, cfg.split_fraction, cfg.seed)
@@ -241,7 +248,7 @@ def train(model: Model, dataset, cfg: TrainConfig, r: int = 0):
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng(cfg.seed + r)
     num_classes = model.config.num_classes
-    for epoch in range(1, cfg.epochs + 1):
+    for _ in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
         epoch_losses = np.empty(len(order))
         for pos, i in enumerate(order):
@@ -251,20 +258,12 @@ def train(model: Model, dataset, cfg: TrainConfig, r: int = 0):
             grads = backward(model, trace, y)
             adam_step(model.params, grads, state, cfg.learning_rate)
         test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
-        metrics.epochs.append(epoch)
         metrics.train_loss.append(float(epoch_losses.mean()))
         metrics.test_loss.append(test_loss)
         metrics.test_accuracy.append(test_acc)
     if cfg.epochs > 0:
         metrics.confusion = confusion_matrix(test_labels, test_preds, num_classes)
-    return model, metrics, (train_idx, test_idx)
-
-
-@dataclass
-class RoundResult:
-    model: Model
-    metrics: Metrics
-    test_indices: np.ndarray
+    return RoundResult(model, metrics, test_idx)
 
 
 def run_round(dataset, net_config, cfg: TrainConfig, r: int) -> RoundResult:
@@ -275,7 +274,8 @@ def run_round(dataset, net_config, cfg: TrainConfig, r: int) -> RoundResult:
     round's fresh model is passed through ``calibrate`` on
     ``CALIBRATION_SAMPLES`` training samples drawn under the round's seed
     (never the test split): the plain fan-in draw leaves the output layer
-    silent and every gradient zero, so training would never start.
+    silent and every gradient zero, so training would never start. It
+    returns ``train``'s ``RoundResult``.
     """
     labels = np.array([label for _, label in dataset], dtype=np.int64)
     train_idx, _ = stratified_split(labels, cfg.split_fraction, cfg.seed)
@@ -283,8 +283,7 @@ def run_round(dataset, net_config, cfg: TrainConfig, r: int) -> RoundResult:
     picks = np.random.default_rng(cfg.seed + r).choice(
         train_idx, size=min(CALIBRATION_SAMPLES, train_idx.size), replace=False)
     calibrate(model, [dataset[i][0] for i in picks])
-    model, metrics, (_, test_idx) = train(model, dataset, cfg, r)
-    return RoundResult(model, metrics, test_idx)
+    return train(model, dataset, cfg, r)
 
 
 # BLAS reads its thread count once, as numpy loads, so a worker must inherit
@@ -299,21 +298,19 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _start_worker(warning_filters) -> None:
-    """Round worker set-up: the caller's warning filters, and exit when the caller does."""
-    import multiprocessing.connection
+def _start_worker(warning_filters, watched) -> None:
+    """Round worker set-up: the caller's warning filters, and exit at ``watched``'s EOF."""
     import threading
 
     # a warning the caller turns into an error fails the round here as it would there
     warnings.resetwarnings()
     warnings.filters[:] = warning_filters
-    parent = multiprocessing.parent_process().sentinel
 
-    def exit_with_parent():
-        multiprocessing.connection.wait([parent])
-        os._exit(1)   # the caller is gone (killed, say), and nobody is left to take the round
+    def exit_at_eof():
+        watched.poll(None)   # nothing is ever sent, so this returns at EOF
+        os._exit(1)   # the caller stopped the rounds, or is gone (killed, say)
 
-    threading.Thread(target=exit_with_parent, daemon=True).start()
+    threading.Thread(target=exit_at_eof, daemon=True).start()
 
 
 def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
@@ -321,37 +318,42 @@ def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
 
     Every round runs on one of ``min(cfg.rounds, usable cores)`` spawned
     worker processes with one BLAS thread each, also a single round. This
-    process's environment is the same afterwards. The first round to fail
-    raises its exception here, once every worker is stopped; the other
-    rounds do not finish.
+    process's environment is the same afterwards. A worker exits when this
+    call's pipe to it closes: at the first round to fail, which then raises
+    here, or at an interrupt (the other rounds do not finish), and when this
+    process dies. A bare ``os.fork()`` child would inherit the pipe and keep
+    the workers alive; the package forks nothing, and ``subprocess`` does
+    not pass the pipe on.
     """
     workers = min(cfg.rounds, _usable_cores())
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    spawn = multiprocessing.get_context("spawn")
+    watched, stop = spawn.Pipe(duplex=False)
     saved = {k: os.environ[k] for k in WORKER_BLAS_ENV if k in os.environ}
     os.environ.update(WORKER_BLAS_ENV)   # workers start inside the pool's block
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_start_worker,
-                                 initargs=(warnings.filters,)) as pool:
-            rounds = {pool.submit(run_round, dataset, net_config, cfg, r): r
-                      for r in range(cfg.rounds)}
-            results = [None] * cfg.rounds
+        pool = ProcessPoolExecutor(workers, mp_context=spawn, initializer=_start_worker,
+                                   initargs=(warnings.filters, watched))
+        # the pool shuts down (its workers exit with code 0) before the pipe closes
+        with watched, stop, pool:
             try:
+                rounds = [pool.submit(run_round, dataset, net_config, cfg, r)
+                          for r in range(cfg.rounds)]
                 for done in as_completed(rounds):
-                    results[rounds[done]] = done.result()
+                    done.result()   # the first round to fail raises here
             except BaseException:
-                # Stop every worker (the pool has no public call for it). Leaving
-                # the block then fails the rounds not yet done and joins the pool.
-                for worker in list(pool._processes.values()):
-                    worker.terminate()
+                # Every worker exits at the pipe's EOF. Leaving the block then fails the
+                # rounds not yet done (none is cancelled: Python 3.11's pool would then
+                # fail it twice, InvalidStateError) and joins the pool.
+                stop.close()
                 raise
+        return [future.result() for future in rounds]
     finally:
         for k in WORKER_BLAS_ENV:
             os.environ.pop(k, None)
         os.environ.update(saved)
-    return results
 
 
 def summarize_rounds(results) -> tuple[float, float]:

@@ -217,15 +217,41 @@ def test_train_missing_manifest_is_data_error(capsys, synth_dir):
     (("train", "--config", "{dir}"), "dir")],
     ids=["synth-out-file", "train-out-dir-file", "eval-out-dir-file", "graph-layout-dir",
          "train-layout-dir", "train-config-dir"])
-def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path, argv, bad):
+def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path, monkeypatch,
+                                         argv, bad):
     paths = {"file": tmp_path / "afile", "dir": tmp_path / "adir",
              "layout": synth_dir / "layout.txt", "manifest": synth_dir / "manifest.txt",
              "checkpoint": train_dir / "round01_model.npz"}
     paths["file"].write_text("")
     paths["dir"].mkdir()
+    monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("data error:") and err.count("\n") == 1 and str(paths[bad]) in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("train", "--layout", "{bad}", "--manifest", "{manifest}", "--out-dir", "{out}"),
+     "0 0 0\n1 0 1\n2 1 0\n3 1 1\n", "layout has 4 taxels but manifest declares 39"),
+    (("train", "--layout", "{layout}", "--manifest", "{bad}", "--out-dir", "{out}"),
+     "taxels 39\nchannels 1\nbin_width 0.02\nclasses a b\ns0.events 0\ns1.events x\n",
+     "{bad}:6: bad label 'x'"),
+    (("graph", "--layout", "{bad}"), "# no taxel here\n", "{bad}: no taxels found"),
+    (("graph", "--layout", "{bad}"), "0 0 0\n1 1 2\n2 1 2\n",
+     "{bad}: two taxels share identical coordinates"),
+    (("graph", "--layout", "{layout}", "--method", "manual", "--edges", "{bad}"), "0 1\n0 x\n",
+     "{bad}:2: invalid literal for int() with base 10: 'x'")],
+    ids=["layout-taxels", "manifest-label", "layout-empty", "layout-same-position", "edge-line"])
+def test_bad_input_file_is_one_line_data_error(capsys, synth_dir, tmp_path, monkeypatch, argv,
+                                               text, message):
+    paths = {"bad": tmp_path / "bad.txt", "out": tmp_path / "run",
+             "layout": synth_dir / "layout.txt", "manifest": synth_dir / "manifest.txt"}
+    paths["bad"].write_text(text)
+    monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err == f"data error: {message.format(**paths)}\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("bad", ["taxels", "taxels ten", "bin_width x", "bin_width 0",
@@ -459,23 +485,30 @@ def test_eval_split_all(train_dir, synth_dir, capsys, tmp_path):
     assert "samples: 10" in stdout
 
 
-@pytest.mark.parametrize("indices", [[-1], [999], [1.5], ["a"], [0, 0], [True], "0"],
-                         ids=["negative", "past-end", "float", "string", "repeated", "bool",
-                              "no-list"])
-def test_eval_bad_test_indices_is_data_error(indices, train_dir, synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize("change, message", [
+    *(({"test_indices": indices},
+       "checkpoint {damaged}: test_indices must be distinct ints in 0..9")
+      for indices in ([-1], [999], [1.5], ["a"], [0, 0], [True], "0")),
+    ({"test_indices": None}, "checkpoint carries no test split; rerun with --split all"),
+    ({"manifest_entries": 11},
+     "checkpoint was trained on a manifest with 11 entries, this one has 10")],
+    ids=["negative", "past-end", "float", "string", "repeated", "bool", "no-list", "missing",
+         "other-manifest"])
+def test_eval_bad_test_indices_is_data_error(change, message, train_dir, synth_dir, tmp_path,
+                                             capsys, monkeypatch):
     checkpoint = train_dir / "round01_model.npz"
     with np.load(checkpoint, allow_pickle=False) as zf:
         blobs = {k: zf[k] for k in zf.files}
-    extra = json.loads(str(blobs["extra_json"]))
-    extra["test_indices"] = indices
-    blobs["extra_json"] = np.array(json.dumps(extra))
+    extra = {**json.loads(str(blobs["extra_json"])), **change}
+    blobs["extra_json"] = np.array(json.dumps({k: v for k, v in extra.items() if v is not None}))
     damaged = tmp_path / "damaged.npz"
     np.savez(damaged, **blobs)
+    monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
     code, _, err = run(capsys, "eval", "--checkpoint", str(damaged),
                        "--manifest", str(synth_dir / "manifest.txt"),
                        "--out-dir", str(tmp_path / "eval"))
     assert code == 2
-    assert err.startswith("data error:") and str(damaged) in err and "test_indices" in err
+    assert err == f"data error: {message.format(damaged=damaged)}\n"
     assert not (tmp_path / "eval").exists()
 
 

@@ -1,9 +1,13 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 
-from taxelsnn import (DataFormatError, TaxelLayout, build_knn, build_mst, load_layout,
-                      radial_layout)
+from taxelsnn import (DataFormatError, TaxelLayout, build_knn, build_manual, build_mst,
+                      load_layout, radial_layout)
 from taxelsnn.layout import load_edge_list, save_edge_list, save_layout
+from tests.conftest import DATA_DIR
 
 
 def test_radial_default_is_39_taxels():
@@ -102,3 +106,19 @@ def test_edge_list_parse_error(tmp_path):
     path.write_text("0 1\n1 2 3\n")
     with pytest.raises(DataFormatError, match=r"edges\.txt:2"):
         load_edge_list(path)
+
+
+def test_bundled_data_is_what_its_script_generates(layout39, monkeypatch):
+    # criteria 1 and 2 and the pinned graph hashes rest on these two files
+    path = DATA_DIR.parent / "scripts" / "make_example_data.py"
+    spec = importlib.util.spec_from_file_location("make_example_data", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script puts src/ first on it
+    spec.loader.exec_module(script)   # defines, writes nothing: main() is not called
+    generated = script.radial_layout()
+    rounded = [[float(f"{v:.6f}") for v in row] for row in generated.positions]
+    np.testing.assert_array_equal(rounded, layout39.positions)
+    assert generated.names == layout39.names
+    committed = build_manual(layout39, load_edge_list(DATA_DIR / "manual_edges39.txt"))
+    assert build_manual(layout39, script.manual_edges(generated)) == committed
+    assert committed.num_edges == 66

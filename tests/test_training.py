@@ -268,7 +268,7 @@ def test_train_zero_epochs_is_identity():
     model = init_model(cfg, seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
     _, metrics, _ = train(model, data, TrainConfig(epochs=0, rounds=1, seed=0))
-    assert metrics.epochs == []
+    assert metrics.train_loss == []
     assert metrics.confusion is None
     for name, arr in before.items():
         np.testing.assert_array_equal(model.params[name], arr)
@@ -290,15 +290,18 @@ def test_train_records_metrics_and_confusion():
     graph, data = tiny_dataset()
     net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
                         feature_width=2, fc_sizes=(4, 4))
-    _, metrics, (train_idx, test_idx) = train(
-        init_model(net, seed=2), data, TrainConfig(epochs=3, rounds=1, seed=2))
-    assert metrics.epochs == [1, 2, 3]
+    cfg = TrainConfig(epochs=3, rounds=1, seed=2)
+    result = train(init_model(net, seed=2), data, cfg)
+    assert type(result) is training.RoundResult
+    _, metrics, test_idx = result
+    assert [line.split(",")[0] for line in metrics.csv_lines()[1:]] == ["1", "2", "3"]
     assert len(metrics.train_loss) == 3
     assert metrics.confusion is not None
     # confusion rows sum to per-class test counts
     labels = np.array([lbl for _, lbl in data])
     for cls in (0, 1):
         assert metrics.confusion[cls].sum() == (labels[test_idx] == cls).sum()
+    train_idx, _ = stratified_split(labels, cfg.split_fraction, cfg.seed)
     assert len(train_idx) + len(test_idx) == len(data)
 
 
@@ -316,7 +319,7 @@ def test_train_leaves_no_thread_running():
 
 
 def test_metrics_csv_format(tmp_path):
-    m = Metrics(epochs=[1, 2], train_loss=[0.5, 0.25],
+    m = Metrics(train_loss=[0.5, 0.25],
                 test_loss=[0.6, 0.3], test_accuracy=[0.5, 1.0])
     path = tmp_path / "metrics.csv"
     m.write_csv(path)
@@ -430,32 +433,33 @@ def _alive(pid: int) -> bool:
 
 
 @pytest.fixture()
-def pool_pids(monkeypatch):
-    """Run ``run_rounds`` on two workers whatever the box; records each worker's PID."""
+def pool_workers(monkeypatch):
+    """Run ``run_rounds`` on two workers whatever the box; records each worker process."""
     monkeypatch.setattr(training, "_usable_cores", lambda: 2)
-    pids, start = [], SpawnProcess.start
+    workers, start = [], SpawnProcess.start
 
     def recording(process):
         start(process)
-        pids.append(process.pid)
+        workers.append(process)
 
     monkeypatch.setattr(SpawnProcess, "start", recording)
     # one variable set to another value, the others unset: both must come back as they were
     monkeypatch.setenv(BLAS_VARS[0], "3")
     for name in BLAS_VARS[1:]:
         monkeypatch.delenv(name, raising=False)
-    return pids
+    return workers
 
 
-def assert_no_worker_left(pids, environ, workers=2):
-    assert len(pids) == workers
+def assert_no_worker_left(workers, environ, count=2):
+    assert len(workers) == count
     assert multiprocessing.active_children() == []
-    assert not any(_alive(pid) for pid in pids)
+    assert not any(_alive(worker.pid) for worker in workers)
     assert dict(os.environ) == environ
 
 
 @pytest.mark.parametrize("feature", ["tagconv", "mlp"])
-def test_run_rounds_on_workers_matches_in_process_rounds(feature, pool_pids, layout10, tmp_path):
+def test_run_rounds_on_workers_matches_in_process_rounds(feature, pool_workers, layout10,
+                                                        tmp_path):
     manifest = generate_synthetic(tmp_path, layout10, num_classes=4, samples_per_class=5,
                                   duration=1.0, bin_width=0.02, num_channels=2,
                                   noise_rate=10.0, seed=5)
@@ -465,7 +469,8 @@ def test_run_rounds_on_workers_matches_in_process_rounds(feature, pool_pids, lay
     cfg = TrainConfig(epochs=2, rounds=3, seed=5)
     environ = dict(os.environ)
     pooled = run_rounds(dataset, net, cfg)
-    assert_no_worker_left(pool_pids, environ)
+    assert_no_worker_left(pool_workers, environ)
+    assert [worker.exitcode for worker in pool_workers] == [0, 0]   # shut down, not stopped
     for r, result in enumerate(pooled):
         assert_same_round(result, run_round(dataset, net, cfg, r))
     assert pooled[0].metrics.csv_lines() != pooled[1].metrics.csv_lines()
@@ -481,7 +486,7 @@ def assert_same_round(result, expected):
     assert result.test_indices.tobytes() == expected.test_indices.tobytes()
 
 
-def test_run_rounds_on_one_core_runs_on_one_worker(pool_pids, monkeypatch):
+def test_run_rounds_on_one_core_runs_on_one_worker(pool_workers, monkeypatch):
     monkeypatch.setattr(training, "_usable_cores", lambda: 1)
     graph, data = tiny_dataset()
     net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
@@ -489,7 +494,8 @@ def test_run_rounds_on_one_core_runs_on_one_worker(pool_pids, monkeypatch):
     cfg = TrainConfig(epochs=1, rounds=2, seed=4)
     environ = dict(os.environ)
     pooled = run_rounds(data, net, cfg)
-    assert_no_worker_left(pool_pids, environ, workers=1)
+    assert_no_worker_left(pool_workers, environ, count=1)
+    assert [worker.exitcode for worker in pool_workers] == [0]
     for r, result in enumerate(pooled):
         assert_same_round(result, run_round(data, net, cfg, r))
 
@@ -511,7 +517,8 @@ def test_round_bytes_do_not_depend_on_the_round_count(layout39):
 # a NaN sample fails calibration; an overflow fails it through the caller's warning filter
 @pytest.mark.parametrize("scale, error, message", [(np.nan, ValueError, "non-finite input"),
                                                    (1e300, RuntimeWarning, "overflow")])
-def test_run_rounds_failing_round_raises_and_leaves_no_worker(scale, error, message, pool_pids):
+def test_run_rounds_failing_round_raises_and_leaves_no_worker(scale, error, message,
+                                                              pool_workers):
     graph, data = tiny_dataset()
     net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
                         feature_width=2, fc_sizes=(4, 4))
@@ -525,7 +532,7 @@ def test_run_rounds_failing_round_raises_and_leaves_no_worker(scale, error, mess
         with pytest.raises(error) as pooled:
             run_rounds(data, net, cfg)
     assert str(pooled.value) == str(in_process.value)
-    assert_no_worker_left(pool_pids, environ)
+    assert_no_worker_left(pool_workers, environ)
 
 
 KILLED_PARENT = """
@@ -564,6 +571,56 @@ def test_run_rounds_workers_exit_when_caller_is_killed():
     while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(_alive(pid) for pid in pids)
+
+
+INTERRUPTED_CALLER = """
+import os
+from pathlib import Path
+import numpy as np
+from taxelsnn import NetworkConfig, TaxelLayout, TrainConfig, build_knn, training
+
+class Announced(list):
+    # a worker unpickles its round's dataset as the round starts
+    def __reduce__(self):
+        return announce, (list(self),)
+
+def announce(items):
+    Path(__file__).with_name(f"worker{os.getpid()}").touch()
+    return items
+
+if __name__ == "__main__":
+    training._usable_cores = lambda: 2
+    rng = np.random.default_rng(0)
+    graph = build_knn(TaxelLayout(rng.random((4, 2))), 2)
+    data = [((rng.random((6, 4, 1)) < 0.5).astype(float), c) for c in (0, 1) for _ in range(4)]
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1, feature_width=2,
+                        fc_sizes=(4, 4))
+    training.run_rounds(Announced(data), net, TrainConfig(epochs=10**6, rounds=2))
+"""
+
+
+def test_run_rounds_interrupted_stops_running_rounds(tmp_path):
+    script = tmp_path / "caller.py"
+    script.write_text(INTERRUPTED_CALLER)
+    caller = subprocess.Popen([sys.executable, str(script)], env=package_env(),
+                              stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(list(tmp_path.glob("worker*"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = [int(path.name[len("worker"):]) for path in tmp_path.glob("worker*")]
+        assert len(pids) == 2   # both workers are inside a round
+        caller.send_signal(signal.SIGINT)   # the caller only (a terminal's Ctrl-C reaches all)
+        caller.wait(timeout=20.0)
+    finally:
+        caller.kill()   # a caller still running: its workers then exit on the pipe's EOF
+        caller.wait()
+    deadline = time.monotonic() + 10.0
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
+    assert caller.stderr.read().rstrip().endswith("KeyboardInterrupt")
+    caller.stderr.close()
 
 
 def test_format_mean_std_table_style():
