@@ -22,7 +22,7 @@ from .layout import load_layout, load_edge_list, radial_layout, save_edge_list, 
 from .lif import LifConfig
 from .model import FEATURE_KINDS, NetworkConfig, load_model, save_model
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
-                       run_rounds, summarize_rounds, write_confusion)
+                       run_rounds, stratified_split, summarize_rounds, write_confusion)
 
 
 class _UsageError(Exception):
@@ -106,11 +106,12 @@ def load_run_config(path) -> RunConfig:
     return RunConfig(**values)
 
 
-def _graph_spec(settings: RunConfig) -> GraphSpec:
-    """The graph that ``settings`` names; a manual graph's edges come from its edge file.
+def _graph(layout, settings: RunConfig):
+    """The spec of the graph that ``settings`` names, and that graph over ``layout``.
 
     The method's parameter and each graph setting off its ``RunConfig`` default reach
-    ``GraphSpec``, which rejects one the method does not take.
+    ``GraphSpec``, which rejects one the method does not take. A manual graph's edges
+    come from its edge file; an edge the layout cannot hold is a DataFormatError naming it.
     """
     wanted = METHODS[settings.method]
     given = {param: getattr(settings, name) for param, name in _GRAPH_SETTINGS.items()
@@ -119,13 +120,17 @@ def _graph_spec(settings: RunConfig) -> GraphSpec:
         if not settings.edges:
             raise _UsageError("manual method needs an edge file (--edges)")
         given["manual_edges"] = tuple(load_edge_list(settings.edges))
-    return GraphSpec(settings.method, **given)
+    spec = GraphSpec(settings.method, **given)
+    try:
+        return spec, build_graph(layout, spec)
+    except ValueError as exc:
+        if wanted != "manual_edges":
+            raise
+        raise DataFormatError(f"{settings.edges}: {exc}") from None
 
 
 def cmd_graph(args) -> int:
-    layout = load_layout(args.layout)
-    spec = _graph_spec(_apply_overrides(RunConfig(), args))
-    graph = build_graph(layout, spec)
+    spec, graph = _graph(load_layout(args.layout), _apply_overrides(RunConfig(), args))
     print(f"graph: {spec.describe()} nodes={graph.num_nodes} edges={graph.num_edges}")
     print(f"average degree: {graph.average_degree():.6f}")
     if spec.method == "knn":
@@ -170,18 +175,22 @@ def cmd_train(args) -> int:
     if not cfg.layout or not cfg.manifest:
         raise _UsageError("train needs both a layout and a manifest "
                           "(config keys or --layout/--manifest)")
+    lif = LifConfig(**_owned(cfg, LifConfig))   # the checks that need no file come first
+    train_cfg = TrainConfig(**_owned(cfg, TrainConfig))
     layout = load_layout(cfg.layout)
     manifest = load_manifest(cfg.manifest)
     if layout.num_taxels != manifest.num_taxels:
         raise DataFormatError(
             f"layout has {layout.num_taxels} taxels but manifest declares "
             f"{manifest.num_taxels}")
-    graph = build_graph(layout, _graph_spec(cfg))
+    _, graph = _graph(layout, cfg)
     net_config = NetworkConfig(graph=graph, num_classes=manifest.num_classes,
                                num_channels=manifest.num_channels, tagconv_hops=cfg.hops,
-                               lif=LifConfig(**_owned(cfg, LifConfig)),
-                               **_owned(cfg, NetworkConfig))
-    train_cfg = TrainConfig(**_owned(cfg, TrainConfig))
+                               lif=lif, **_owned(cfg, NetworkConfig))
+    try:   # the split that every round draws
+        stratified_split(manifest.labels, train_cfg.split_fraction, train_cfg.seed)
+    except ValueError as exc:
+        raise DataFormatError(f"{cfg.manifest}: {exc}") from None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

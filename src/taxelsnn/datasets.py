@@ -143,12 +143,10 @@ TEMPLATE_RATES = (20.0, 40.0)   # events/s bounds of a class template's firing r
 def _assign_taxel_clusters(layout: TaxelLayout, num_classes: int, rng) -> list[list[int]]:
     """Disjoint, spatially clustered taxel subsets, one per class."""
     n = layout.num_taxels
-    base, extra = divmod(n, num_classes)
-    sizes = [base + (1 if c < extra else 0) for c in range(num_classes)]
     dist = layout.distances()
     unclaimed = set(range(n))
     clusters = []
-    for size in sizes:
+    for size in map(len, np.array_split(np.arange(n), num_classes)):
         center = int(rng.choice(sorted(unclaimed)))
         nearest = sorted(unclaimed, key=lambda j: (dist[center, j], j))
         chosen = nearest[:size]

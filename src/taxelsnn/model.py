@@ -83,12 +83,8 @@ def voting_matrix(num_classes: int, num_neurons: int) -> np.ndarray:
     if num_neurons < num_classes:
         raise ValueError("need at least one output neuron per class")
     u = np.zeros((num_classes, num_neurons), dtype=np.float64)
-    base, extra = divmod(num_neurons, num_classes)
-    start = 0
-    for c in range(num_classes):
-        size = base + (1 if c < extra else 0)
-        u[c, start:start + size] = 1.0 / size
-        start += size
+    for c, block in enumerate(np.array_split(np.arange(num_neurons), num_classes)):
+        u[c, block] = 1.0 / block.size
     return u
 
 
@@ -240,13 +236,18 @@ def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
     return below.reshape(len(below), -1) @ weight.T
 
 
-def weight_grad(model: Model, name: str, below: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Layer ``name``'s weight gradient from ``dz`` on its currents, as ``_weighted_input``^T."""
-    weight = model.params[weight_name(model.config, name)]
+def layer_grads(model: Model, name: str, below: np.ndarray, dz: np.ndarray):
+    """``_layer_forward``^T: ``({weight: dw, bias: db}, d_below)`` from ``dz`` on the currents."""
+    key = weight_name(model.config, name)
+    weight = model.params[key]
     if weight.ndim == 3:
         c, f, hops = weight.shape
-        return (hop_major(below).T @ dz.reshape(-1, f)).reshape(hops, c, f).transpose(1, 2, 0)
-    return dz.T @ below.reshape(len(below), -1)
+        dw = (hop_major(below).T @ dz.reshape(-1, f)).reshape(hops, c, f).transpose(1, 2, 0)
+    else:
+        dw = dz.T @ below.reshape(len(below), -1)
+    # d_below is the gradient on the input below; the feature layer's input is data
+    d_below = None if name == "feature" else (dz @ weight).reshape(below.shape)
+    return {key: dw, f"{name}.b": dz.sum(axis=tuple(range(dz.ndim - 1)))}, d_below
 
 
 def calibrate(model: Model, samples) -> None:

@@ -8,9 +8,9 @@ contributes a factor beta * (1 - fired_t) from step t+1 back to step t
 contributes the rectangular surrogate in place of the true, almost-
 everywhere-zero derivative. Layers decouple across time — emissions feed
 forward only within a timestep — so the backward pass is one reverse scan
-per layer plus batched matrix products for the weight gradients. The scan
-forms the surrogate and reset factors for the whole window, then runs the
-recurrence in place in the same operation order as the per-step formula.
+per layer, then ``model.layer_grads`` for its weight, bias and input
+gradients. The scan forms the surrogate and reset factors for the whole
+window, then runs the recurrence in place in the per-step formula's order.
 
 Optimization is Adam with bias correction, in place, one sample per step.
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .lif import surrogate_grad
 from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, init_model,
-                    layer_names, model_forward, vote, weight_grad, weight_name)
+                    layer_grads, layer_names, model_forward, vote)
 
 ADAM_BETAS = (0.9, 0.999)   # decay rates of Adam's first and second moments
 ADAM_EPS = 1e-8
@@ -137,11 +137,8 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
     grads: dict[str, np.ndarray] = {}
     for li, name in reversed(list(enumerate(layer_names(cfg)))):
         dz = _lif_backward_scan(dout, trace.layers[li], cfg.lif)
-        below = trace.layer_input(li)
-        grads[weight_name(cfg, name)] = weight_grad(model, name, below, dz)
-        grads[f"{name}.b"] = dz.sum(axis=tuple(range(dz.ndim - 1)))
-        if li:
-            dout = (dz @ model.params[f"{name}.w"]).reshape(below.shape)
+        layer, dout = layer_grads(model, name, trace.layer_input(li), dz)
+        grads.update(layer)
     return grads
 
 

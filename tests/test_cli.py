@@ -240,13 +240,24 @@ def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path,
     (("graph", "--layout", "{bad}"), "0 0 0\n1 1 2\n2 1 2\n",
      "{bad}: two taxels share identical coordinates"),
     (("graph", "--layout", "{layout}", "--method", "manual", "--edges", "{bad}"), "0 1\n0 x\n",
-     "{bad}:2: invalid literal for int() with base 10: 'x'")],
-    ids=["layout-taxels", "manifest-label", "layout-empty", "layout-same-position", "edge-line"])
+     "{bad}:2: invalid literal for int() with base 10: 'x'"),
+    (("graph", "--layout", "{layout}", "--method", "manual", "--edges", "{bad}"), "0 1\n1 99\n",
+     "{bad}: edge (1, 99) references a node outside 0..38"),
+    (("train", "--layout", "{layout}", "--manifest", "{manifest}", "--method", "manual",
+      "--edges", "{bad}", "--out-dir", "{out}"), "0 1\n2 2\n",
+     "{bad}: self-loop edge (2, 2) is not allowed"),
+    (("train", "--layout", "{layout}", "--manifest", "{bad}", "--out-dir", "{out}"),
+     "taxels 39\nchannels 1\nbin_width 0.02\nclasses a b\n{samples}/class0_000.events 0\n"
+     "{samples}/class0_001.events 0\n{samples}/class1_000.events 1\n",
+     "{bad}: class 1 has 1 sample(s); need at least 2")],
+    ids=["layout-taxels", "manifest-label", "layout-empty", "layout-same-position", "edge-line",
+         "edge-node-outside", "edge-self-loop", "manifest-class-of-one"])
 def test_bad_input_file_is_one_line_data_error(capsys, synth_dir, tmp_path, monkeypatch, argv,
                                                text, message):
     paths = {"bad": tmp_path / "bad.txt", "out": tmp_path / "run",
-             "layout": synth_dir / "layout.txt", "manifest": synth_dir / "manifest.txt"}
-    paths["bad"].write_text(text)
+             "layout": synth_dir / "layout.txt", "manifest": synth_dir / "manifest.txt",
+             "samples": synth_dir / "samples"}
+    paths["bad"].write_text(text.format(**paths))
     monkeypatch.setattr("taxelsnn.cli.load_samples", None)   # calling it would fail otherwise
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
@@ -314,6 +325,23 @@ def test_train_nonfinite_lif_value_is_usage_error(capsys, synth_dir, tmp_path, f
                        "--epochs", "1", "--rounds", "1", flag)
     assert code == 1
     assert err.startswith("error:") and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["rounds = 0", "learning_rate = -1", "u_reset = 0.9"],
+                         ids=lambda line: line.split()[0])
+def test_run_config_bad_value_fails_before_any_file_is_read(line, tmp_path, capsys, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("taxelsnn.cli.load_layout", unread)
+    monkeypatch.setattr("taxelsnn.cli.load_manifest", unread)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"layout = layout.txt\nmanifest = manifest.txt\n{line}\n")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error:") and line.split()[0] in err
     assert not out.exists()
 
 

@@ -28,6 +28,16 @@ def imported_modules(tree: ast.AST):
             yield node.module.split(".")[0]
 
 
+def test_training_leaves_layer_math_to_the_model():
+    # model.layer_grads forms every layer's gradients; training.py indexes no weight by name
+    tree = ast.parse((Path(taxelsnn.__file__).parent / "training.py").read_text())
+    subscripts = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "params"]
+    imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name in ("weight_name", "weight_grad")]
+    assert subscripts == [] and imports == []
+
+
 def test_package_imports_only_stdlib_numpy_and_itself():
     sources = sorted(Path(taxelsnn.__file__).parent.glob("*.py"))
     assert len(sources) > 1

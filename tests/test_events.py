@@ -102,6 +102,11 @@ def test_stream_validation():
         make_stream([0.5], [9], [0], duration=1.0)
     with pytest.raises(ValueError, match="channel"):
         make_stream([0.5], [0], [5], duration=1.0)
+    with pytest.raises(ValueError, match="equal-length"):
+        make_stream([0.5, 0.6], [0], [0, 0], duration=1.0)
+    for duration in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            make_stream([], [], [], duration=duration)
 
 
 def test_stream_sorts_events():

@@ -271,6 +271,11 @@ def test_powers_k0_is_identity():
     np.testing.assert_array_equal(p0, np.eye(2))
 
 
+def test_powers_reject_negative_hops():
+    with pytest.raises(ValueError, match="hops must be >= 0"):
+        adjacency_powers(normalize_adjacency([(0, 1)], 2), -1)
+
+
 def test_powers_two_node_square_is_identity():
     a = normalize_adjacency([(0, 1)], 2)
     powers = adjacency_powers(a, 2)

@@ -36,6 +36,17 @@ def test_rejects_nonfinite_and_duplicate_positions():
         TaxelLayout(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+def test_rejects_names_of_another_length(names):
+    with pytest.raises(ValueError, match="names length"):
+        TaxelLayout(np.array([[0.0, 0.0], [1.0, 0.0]]), names)
+
+
+def test_radial_rejects_rings_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        radial_layout(ring_counts=(8, 12), ring_radii=(2.0,))
+
+
 def test_distances_match_hand_computation():
     lay = TaxelLayout(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert lay.distances()[0, 1] == pytest.approx(5.0)

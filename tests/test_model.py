@@ -272,6 +272,8 @@ def test_forward_shape_validation():
         model_forward(model, np.zeros((5, 3, 1)))
     with pytest.raises(ValueError, match="at least one timestep"):
         model_forward(model, np.zeros((0, 4, 1)))
+    with pytest.raises(ValueError, match=r"sample must be \(T, N, C\)"):
+        model_forward(model, np.zeros((5, 4)))
 
 
 def test_mlp_variant_forward():
@@ -387,6 +389,12 @@ def test_vote_hand_example():
     scores, pred = vote(outputs, voting_matrix(2, 4))
     np.testing.assert_allclose(scores, [0.5, 0.2])
     assert pred == 0
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (2, 4, 1)])
+def test_vote_rejects_outputs_of_wrong_shape(shape):
+    with pytest.raises(ValueError, match="outputs must be"):
+        vote(np.zeros(shape), voting_matrix(2, 4))
 
 
 def test_vote_all_zero_ties_to_class_zero():
@@ -533,6 +541,8 @@ def test_network_config_validation(layout39):
                 {"fc_sizes": (4, -1, 4)}):
         with pytest.raises(ValueError, match="tagconv_hops >= 0 and layer sizes >= 1"):
             NetworkConfig(graph=graph, num_classes=2, **bad)
+    with pytest.raises(ValueError, match="at least one neuron per class"):
+        NetworkConfig(graph=graph, num_classes=3, fc_sizes=(4, 2))
 
 
 def test_tagconv_hops_is_a_network_setting_only(layout39):

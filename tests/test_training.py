@@ -122,6 +122,20 @@ def test_backward_requires_trace():
         backward(model, empty, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("label", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+def test_backward_rejects_label_of_wrong_shape(label):
+    model = one_neuron_chain_model()
+    _, trace = model_forward(model, np.ones((1, 1, 1)))
+    with pytest.raises(ValueError, match="one-hot of length 2"):
+        backward(model, trace, np.array(label))
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_one_hot_rejects_label_out_of_range(label):
+    with pytest.raises(ValueError, match=f"label {label} outside 0..1"):
+        one_hot(label, 2)
+
+
 def finite_difference_grads(model, x, y, h=1e-5):
     def loss_now():
         out, _ = model_forward(model, x, relaxed=True)
@@ -498,6 +512,13 @@ def test_run_rounds_on_one_core_runs_on_one_worker(pool_workers, monkeypatch):
     assert [worker.exitcode for worker in pool_workers] == [0]
     for r, result in enumerate(pooled):
         assert_same_round(result, run_round(data, net, cfg, r))
+
+
+@pytest.mark.parametrize("count, cores", [(3, 3), (None, 1)])
+def test_usable_cores_without_affinity_call_is_cpu_count(count, cores, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert training._usable_cores() == cores
 
 
 def test_round_bytes_do_not_depend_on_the_round_count(layout39):
