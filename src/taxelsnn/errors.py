@@ -1,9 +1,12 @@
-"""The shared exception type and the line rules of every text format the package loads.
+"""The shared exception type, and the line rules of every text format the package loads and writes.
 
-``#`` starts a comment, lines without words are skipped, and lines count from 1.
+``#`` starts a comment, lines without words are skipped, and lines count from 1. A written
+file appears whole: it goes to a temporary file beside its target, which then replaces it.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -17,6 +20,33 @@ def read_lines(path: Path) -> list[str]:
         return path.read_text().splitlines()
     except FileNotFoundError:
         raise DataFormatError(f"file not found: {path}") from None
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A file opened in ``mode`` beside ``path`` that replaces ``path`` once the block ends.
+
+    If the block raises, the temporary file is removed and ``path`` stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, mode)
+    except OSError as exc:   # name the file asked for, not its temporary name
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path, lines) -> None:
+    """Write each line followed by a newline, as ``read_lines`` reads them back."""
+    with replacing(path) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def content_lines(lines: list[str], start: int = 0):

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, content_lines, read_header, read_lines
+from .errors import DataFormatError, content_lines, read_header, read_lines, write_lines
 
 # forgives float round-off when a timestamp sits on a bin boundary
 _BIN_EPS = 1e-9
@@ -197,4 +197,4 @@ def write_event_file(stream: EventStream, path) -> None:
     ]
     for t, n, c in zip(stream.times, stream.taxels, stream.channels):
         lines.append(f"{float(t)!r} {int(n)} {int(c)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

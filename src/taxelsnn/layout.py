@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, content_lines, read_lines
+from .errors import DataFormatError, content_lines, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def save_layout(layout: TaxelLayout, path) -> None:
     for i, (x, y) in enumerate(layout.positions):
         name = layout.names[i] if layout.names else f"t{i}"
         lines.append(f"{i} {float(x)!r} {float(y)!r} {name}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_edge_list(path) -> list[tuple[int, int]]:
@@ -134,6 +134,4 @@ def load_edge_list(path) -> list[tuple[int, int]]:
 
 
 def save_edge_list(edges, path) -> None:
-    lines = ["# manual tactile graph edges: i j"]
-    lines += [f"{i} {j}" for i, j in edges]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, ["# manual tactile graph edges: i j", *(f"{i} {j}" for i, j in edges)])

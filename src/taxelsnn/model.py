@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, replacing
 from .graphs import TactileGraph, adjacency_powers
 from .lif import LifConfig, membrane_update, relaxed_spike
 
@@ -51,9 +51,11 @@ class NetworkConfig:
         if len(self.fc_sizes) == 0:
             raise ValueError("fc_sizes must be nonempty")
         object.__setattr__(self, "fc_sizes", tuple(int(s) for s in self.fc_sizes))
-        if self.tagconv_hops < 0 or self.feature_width < 1 or min(self.fc_sizes) < 1:
-            raise ValueError(f"need tagconv_hops >= 0 and layer sizes >= 1, got hops "
-                             f"{self.tagconv_hops}, widths {self.feature_width}, {self.fc_sizes}")
+        if (self.tagconv_hops < 0 or self.num_channels < 1 or self.feature_width < 1
+                or min(self.fc_sizes) < 1):
+            raise ValueError(f"need tagconv_hops >= 0 and layer sizes >= 1 and num_channels >= 1, "
+                             f"got hops {self.tagconv_hops}, widths {self.feature_width}, "
+                             f"{self.fc_sizes}, channels {self.num_channels}")
         if self.fc_sizes[-1] < self.num_classes:
             raise ValueError("last layer needs at least one neuron per class")
 
@@ -320,7 +322,8 @@ def save_model(model: Model, path, extra: dict | None = None) -> None:
     arrays["config_json"] = np.array(json.dumps(_config_to_dict(model.config)))
     if extra:
         arrays["extra_json"] = np.array(json.dumps(extra))
-    np.savez(path, **arrays)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_model(path):

@@ -27,11 +27,11 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import write_lines
 from .lif import surrogate_grad
 from .model import (CALIBRATION_SAMPLES, Model, ForwardTrace, calibrate, init_model,
                     layer_grads, layer_names, model_forward, vote)
@@ -76,9 +76,6 @@ class Metrics:
                                               self.test_accuracy), start=1):
             lines.append(f"{e},{tr:.6f},{te:.6f},{acc:.6f}")
         return lines
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text("\n".join(self.csv_lines()) + "\n")
 
 
 class RoundResult(NamedTuple):
@@ -198,16 +195,18 @@ def stratified_split(labels, fraction: float, seed: int):
 
 
 def evaluate(model: Model, samples, labels):
-    """Mean voting loss, accuracy, and predictions on a held-out set."""
-    losses = []
-    preds = []
+    """Mean voting loss, accuracy, predictions and confusion matrix of a held-out set."""
+    num_classes = model.config.num_classes
+    losses, preds = [], []
     for sample, label in zip(samples, labels):
         outputs, _ = model_forward(model, sample)
-        losses.append(voting_loss(outputs, model.voting, one_hot(label, model.config.num_classes)))
+        losses.append(voting_loss(outputs, model.voting, one_hot(label, num_classes)))
         preds.append(vote(outputs, model.voting)[1])
     preds = np.array(preds, dtype=np.int64)
-    acc = float(np.mean(preds == np.asarray(labels))) if len(preds) else float("nan")
-    return float(np.mean(losses)) if losses else float("nan"), acc, preds
+    cm = confusion_matrix(labels, preds, num_classes)
+    n = len(preds)   # accuracy is the confusion's trace over n; an empty set gives NaNs
+    loss, acc = (float(np.mean(losses)), float(np.trace(cm)) / n) if n else (math.nan,) * 2
+    return loss, acc, preds, cm
 
 
 def confusion_matrix(labels, predictions, num_classes: int) -> np.ndarray:
@@ -219,11 +218,9 @@ def confusion_matrix(labels, predictions, num_classes: int) -> np.ndarray:
 
 
 def write_confusion(cm: np.ndarray, class_names, path) -> None:
-    lines = ["# confusion matrix: rows true class, columns predicted"]
-    lines.append("classes " + " ".join(class_names))
-    for row in cm:
-        lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, ["# confusion matrix: rows true class, columns predicted",
+                       "classes " + " ".join(class_names),
+                       *(" ".join(str(int(v)) for v in row) for row in cm)])
 
 
 def train(model: Model, dataset, cfg: TrainConfig, r: int = 0) -> RoundResult:
@@ -254,12 +251,10 @@ def train(model: Model, dataset, cfg: TrainConfig, r: int = 0) -> RoundResult:
             epoch_losses[pos] = voting_loss(outputs, model.voting, y)
             grads = backward(model, trace, y)
             adam_step(model.params, grads, state, cfg.learning_rate)
-        test_loss, test_acc, test_preds = evaluate(model, test_samples, test_labels)
+        test_loss, test_acc, _, metrics.confusion = evaluate(model, test_samples, test_labels)
         metrics.train_loss.append(float(epoch_losses.mean()))
         metrics.test_loss.append(test_loss)
         metrics.test_accuracy.append(test_acc)
-    if cfg.epochs > 0:
-        metrics.confusion = confusion_matrix(test_labels, test_preds, num_classes)
     return RoundResult(model, metrics, test_idx)
 
 

@@ -249,9 +249,13 @@ def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path,
     (("train", "--layout", "{layout}", "--manifest", "{bad}", "--out-dir", "{out}"),
      "taxels 39\nchannels 1\nbin_width 0.02\nclasses a b\n{samples}/class0_000.events 0\n"
      "{samples}/class0_001.events 0\n{samples}/class1_000.events 1\n",
-     "{bad}: class 1 has 1 sample(s); need at least 2")],
+     "{bad}: class 1 has 1 sample(s); need at least 2"),
+    (("train", "--layout", "{layout}", "--manifest", "{bad}", "--out-dir", "{out}"),
+     "taxels 39\nchannels 1\nbin_width 0.02\nclasses same same\n"
+     "{samples}/class0_000.events 0\n{samples}/class0_001.events 0\n",
+     "{bad}:4: classes needs two or more names, each once; got 'classes same same'")],
     ids=["layout-taxels", "manifest-label", "layout-empty", "layout-same-position", "edge-line",
-         "edge-node-outside", "edge-self-loop", "manifest-class-of-one"])
+         "edge-node-outside", "edge-self-loop", "manifest-class-of-one", "manifest-class-twice"])
 def test_bad_input_file_is_one_line_data_error(capsys, synth_dir, tmp_path, monkeypatch, argv,
                                                text, message):
     paths = {"bad": tmp_path / "bad.txt", "out": tmp_path / "run",
@@ -513,15 +517,26 @@ def test_eval_split_all(train_dir, synth_dir, capsys, tmp_path):
     assert "samples: 10" in stdout
 
 
+def test_synth_train_and_eval_leave_no_temporary_file(train_dir, synth_dir, capsys, tmp_path):
+    # each output is written beside its target as .<name>.<pid>.tmp, then renamed over it
+    code, _, _ = run(capsys, "eval", "--checkpoint", str(train_dir / "round02_model.npz"),
+                     "--manifest", str(synth_dir / "manifest.txt"), "--out-dir", str(tmp_path))
+    assert code == 0
+    written = [p for d in (synth_dir, train_dir, tmp_path) for p in d.rglob("*")]
+    assert {p.name for p in tmp_path.iterdir()} == {"round02_model_accuracy.txt",
+                                                   "round02_model_confusion.txt"}
+    assert [p for p in written if p.name.startswith(".") or p.suffix == ".tmp"] == []
+
+
 @pytest.mark.parametrize("change, message", [
     *(({"test_indices": indices},
-       "checkpoint {damaged}: test_indices must be distinct ints in 0..9")
-      for indices in ([-1], [999], [1.5], ["a"], [0, 0], [True], "0")),
+       "checkpoint {damaged}: test_indices must be one or more distinct ints in 0..9")
+      for indices in ([-1], [999], [1.5], ["a"], [0, 0], [True], "0", [])),
     ({"test_indices": None}, "checkpoint carries no test split; rerun with --split all"),
     ({"manifest_entries": 11},
      "checkpoint was trained on a manifest with 11 entries, this one has 10")],
-    ids=["negative", "past-end", "float", "string", "repeated", "bool", "no-list", "missing",
-         "other-manifest"])
+    ids=["negative", "past-end", "float", "string", "repeated", "bool", "no-list", "empty",
+         "missing", "other-manifest"])
 def test_eval_bad_test_indices_is_data_error(change, message, train_dir, synth_dir, tmp_path,
                                              capsys, monkeypatch):
     checkpoint = train_dir / "round01_model.npz"

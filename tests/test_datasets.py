@@ -200,6 +200,15 @@ def test_manifest_header_line_after_an_entry_names_the_line(tmp_path, late):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("classes", ["classes a a", "classes a", "classes", "classes a b a"])
+def test_manifest_needs_two_or_more_classes_each_named_once(tmp_path, classes):
+    path = tmp_path / "classes.txt"
+    path.write_text(f"taxels 2\nchannels 1\nbin_width 0.02\n{classes}\n")
+    with pytest.raises(DataFormatError, match=rf"classes\.txt:4: classes needs two or more "
+                                              rf"names, each once; got '{classes}'$"):
+        load_manifest(path)
+
+
 def test_manifest_header_key_given_twice_names_the_line(tmp_path):
     path = tmp_path / "twice.txt"
     path.write_text("taxels 2\nchannels 1\nbin_width 0.02\nbin_width 0.5\nclasses x y\n")

@@ -1,9 +1,10 @@
 """The package's boundaries.
 
 numpy stays the only runtime dependency: the package imports the stdlib,
-numpy and itself. And every package name that the benchmark's traced run
-rebinds, or that its workloads call, exists, so a rename in the package
-cannot break a benchmark run unnoticed.
+numpy and itself. Only ``errors.py`` writes files, so each appears whole.
+And every package name that the benchmark's traced run rebinds, or that
+its workloads call, exists, so a rename in the package cannot break a
+benchmark run unnoticed.
 """
 import ast
 import importlib
@@ -36,6 +37,35 @@ def test_training_leaves_layer_math_to_the_model():
     imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name in ("weight_name", "weight_grad")]
     assert subscripts == [] and imports == []
+
+
+WRITE_CALLS = {"write_text", "write_bytes", "replace"}   # Path writes, os.replace
+
+
+def file_writes(tree: ast.AST):
+    """The calls in a module that write a file other than through an open handle."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":   # open(path, mode) or path.open(mode)
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+                   for m in modes):
+                yield ast.unparse(node)
+        elif name in WRITE_CALLS and isinstance(func, ast.Attribute) and (
+                name != "replace" or ast.unparse(func.value) == "os"):
+            yield ast.unparse(node)
+
+
+def test_only_errors_writes_files():
+    # errors.replacing writes every file whole; the other modules write through it
+    writes = {path.name: sorted(file_writes(ast.parse(path.read_text())))
+              for path in sorted(Path(taxelsnn.__file__).parent.glob("*.py"))}
+    assert writes.pop("errors.py") == ["open(tmp, mode)", "os.replace(tmp, path)"]
+    assert {name: calls for name, calls in writes.items() if calls} == {}
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():

@@ -246,7 +246,7 @@ def reference_train(model, dataset, cfg):
             step += 1
             expression_adam_step(model.params, reference_backward(model, trace, eye[label]),
                                  m, v, step, cfg.learning_rate)
-        test_loss, test_acc, preds = training.evaluate(model, *test)
+        test_loss, test_acc, preds, _ = training.evaluate(model, *test)
         curves.append((float(np.mean(losses)), test_loss, test_acc))
     return m, v, curves, training.confusion_matrix(test[1], preds, model.config.num_classes)
 

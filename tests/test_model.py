@@ -522,6 +522,39 @@ def test_checkpoint_rejects_nonfinite_tensor(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_with_no_channels_is_malformed(tmp_path):
+    import json
+    path = tmp_path / "model.npz"
+    save_model(init_model(small_config(), seed=9), path)
+    with np.load(path, allow_pickle=False) as zf:
+        blobs = {k: zf[k] for k in zf.files}
+    doc = json.loads(str(blobs["config_json"]))
+    blobs["config_json"] = np.array(json.dumps({**doc, "num_channels": 0}))
+    np.savez(path, **blobs)
+    with pytest.raises(DataFormatError, match="malformed config_json .*num_channels >= 1"):
+        load_model(path)
+
+
+def test_checkpoint_rewrite_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    save_model(init_model(small_config(), seed=9), path)
+    before = path.read_bytes()
+    write_array, calls = np.lib.format.write_array, []
+
+    def failing(*args, **kwargs):   # the third array of the archive fails to write
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("no space left")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", failing)
+    with pytest.raises(OSError, match="no space left"):
+        save_model(init_model(small_config(), seed=10), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert load_model(path)[0].config == small_config()
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nope.npz")
@@ -538,7 +571,7 @@ def test_network_config_validation(layout39):
     with pytest.raises(ValueError, match="feature"):
         NetworkConfig(graph=graph, num_classes=2, feature="cnn")
     for bad in ({"tagconv_hops": -1}, {"feature_width": 0}, {"fc_sizes": (0, 4)},
-                {"fc_sizes": (4, -1, 4)}):
+                {"fc_sizes": (4, -1, 4)}, {"num_channels": 0}, {"num_channels": -1}):
         with pytest.raises(ValueError, match="tagconv_hops >= 0 and layer sizes >= 1"):
             NetworkConfig(graph=graph, num_classes=2, **bad)
     with pytest.raises(ValueError, match="at least one neuron per class"):

@@ -19,6 +19,7 @@ from taxelsnn import (AdamState, Metrics, NetworkConfig, TaxelLayout, TrainConfi
                       generate_synthetic, init_model, load_samples, model_forward, one_hot,
                       stratified_split, train, voting_loss, run_round, run_rounds,
                       summarize_rounds)
+from taxelsnn.errors import write_lines
 from taxelsnn.lif import surrogate_grad
 from taxelsnn import training
 from taxelsnn.model import voting_matrix
@@ -336,11 +337,25 @@ def test_metrics_csv_format(tmp_path):
     m = Metrics(train_loss=[0.5, 0.25],
                 test_loss=[0.6, 0.3], test_accuracy=[0.5, 1.0])
     path = tmp_path / "metrics.csv"
-    m.write_csv(path)
+    write_lines(path, m.csv_lines())
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,test_loss,test_acc"
     assert lines[1] == "1,0.500000,0.600000,0.500000"
     assert len(lines) == 3
+
+
+def test_evaluate_accuracy_is_the_confusion_trace_and_an_empty_set_gives_nans():
+    graph, data = tiny_dataset(num_per_class=5)
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
+                        feature_width=2, fc_sizes=(4, 4))
+    model = init_model(net, seed=3)
+    samples, labels = [x for x, _ in data[1:]], [lbl for _, lbl in data[1:]]
+    _, acc, preds, cm = evaluate(model, samples, labels)
+    assert acc == float(np.mean(preds == np.array(labels)))
+    assert cm.sum() == len(samples) == 9
+    loss, acc, preds, cm = evaluate(model, [], [])
+    assert np.isnan(loss) and np.isnan(acc) and preds.shape == (0,)
+    np.testing.assert_array_equal(cm, np.zeros((2, 2), dtype=np.int64))
 
 
 def test_confusion_constant_classifier_single_column():
@@ -352,8 +367,8 @@ def test_confusion_constant_classifier_single_column():
         arr[:] = 0.0  # silent network always votes class 0
     samples = [x for x, _ in data]
     labels = [lbl for _, lbl in data]
-    _, _, preds = evaluate(model, samples, labels)
-    cm = confusion_matrix(labels, preds, 2)
+    _, _, preds, cm = evaluate(model, samples, labels)
+    np.testing.assert_array_equal(cm, confusion_matrix(labels, preds, 2))
     np.testing.assert_array_equal(cm[:, 1], [0, 0])
     assert cm[:, 0].sum() == len(data)
 
@@ -376,8 +391,8 @@ def test_confusion_perfect_classifier_is_diagonal():
         x[:, cls, 0] = 1.0
         samples.append(x)
         labels.append(cls)
-    _, acc, preds = evaluate(model, samples, labels)
-    cm = confusion_matrix(labels, preds, 2)
+    _, acc, preds, cm = evaluate(model, samples, labels)
+    np.testing.assert_array_equal(cm, confusion_matrix(labels, preds, 2))
     np.testing.assert_array_equal(cm, [[2, 0], [0, 3]])
     assert acc == 1.0
 
