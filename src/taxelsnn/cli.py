@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import inspect
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .lif import LifConfig
 from .model import FEATURE_KINDS, NetworkConfig, load_model, save_model
 # confusion_matrix is unused here, but the benchmark's tracer binds cli.confusion_matrix
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
-                       run_rounds, stratified_split, summarize_rounds, write_confusion)
+                       iter_rounds, stratified_split, summarize_rounds, write_confusion)
 
 
 class _UsageError(Exception):
@@ -195,18 +196,20 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = run_rounds(load_samples(manifest), net_config, train_cfg)
-    for r, result in enumerate(results, start=1):
-        write_lines(out_dir / f"round{r:02d}_metrics.csv", result.metrics.csv_lines())
-        extra = {
-            "round": r,
-            "seed": train_cfg.seed,
-            "manifest_entries": len(manifest.entries),
-            "test_indices": [int(i) for i in result.test_indices],
-            "final_accuracy": result.metrics.final_accuracy,
-        }
-        save_model(result.model, out_dir / f"round{r:02d}_model.npz", extra=extra)
-        print(f"round {r}: final test accuracy {result.metrics.final_accuracy:.4f}")
+    results = []   # each round is written as it arrives; closing stops the rest at an error
+    with closing(iter_rounds(load_samples(manifest), net_config, train_cfg)) as rounds:
+        for r, result in rounds:   # files and output count rounds from 1
+            results.append(result)
+            write_lines(out_dir / f"round{r + 1:02d}_metrics.csv", result.metrics.csv_lines())
+            extra = {
+                "round": r + 1,
+                "seed": train_cfg.seed,
+                "manifest_entries": len(manifest.entries),
+                "test_indices": [int(i) for i in result.test_indices],
+                "final_accuracy": result.metrics.final_accuracy,
+            }
+            save_model(result.model, out_dir / f"round{r + 1:02d}_model.npz", extra=extra)
+            print(f"round {r + 1}: final test accuracy {result.metrics.final_accuracy:.4f}")
     mean, std = summarize_rounds(results)
     print(f"mean (std) final accuracy: {format_mean_std(mean, std)}")
     print(f"outputs in {out_dir}")

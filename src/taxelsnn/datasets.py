@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, content_lines, read_header, read_lines, write_lines
+from .errors import (DataFormatError, check_words, content_lines, read_header, read_lines,
+                     write_lines)
 from .events import EventStream, bin_events, load_event_file, parse_header_line, write_event_file
 from .layout import TaxelLayout
 
@@ -104,18 +105,18 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
+    """Write a file that ``load_manifest`` reads back; ValueError, before writing, if none can."""
     path = Path(path)
-    lines = [
-        f"taxels {manifest.num_taxels}",
-        f"channels {manifest.num_channels}",
-        f"bin_width {manifest.bin_width!r}",
-        "classes " + " ".join(manifest.class_names),
-    ]
-    for sample_path, label in manifest.entries:
-        # load_manifest resolves entries against the manifest's directory
-        rel = Path(os.path.relpath(sample_path, path.parent))
-        lines.append(f"{rel.as_posix()} {label}")
-    write_lines(path, lines)
+    # load_manifest resolves entries against the manifest's directory
+    rels = [Path(os.path.relpath(sample_path, path.parent)).as_posix()
+            for sample_path, _ in manifest.entries]
+    check_words("class name", manifest.class_names)
+    check_words("sample path", rels)
+    write_lines(path, [f"taxels {manifest.num_taxels}",
+                       f"channels {manifest.num_channels}",
+                       f"bin_width {manifest.bin_width!r}",
+                       "classes " + " ".join(manifest.class_names),
+                       *(f"{rel} {label}" for rel, (_, label) in zip(rels, manifest.entries))])
 
 
 def load_samples(manifest: DatasetManifest):

@@ -49,6 +49,13 @@ def write_lines(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
+def check_words(kind: str, words) -> None:
+    """ValueError unless each of ``words`` reads back as one word: no whitespace, no '#'."""
+    bad = [word for word in words if word.split() != [word] or "#" in word]
+    if bad:
+        raise ValueError(f"{kind} {bad[0]!r} is empty or holds whitespace or '#'")
+
+
 def content_lines(lines: list[str], start: int = 0):
     """Yield (lineno, raw, words) for each line from index start with words before its '#'."""
     for lineno, raw in enumerate(lines[start:], start=start + 1):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, content_lines, read_lines, write_lines
+from .errors import DataFormatError, check_words, content_lines, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class TaxelLayout:
             names = tuple(self.names)
             if len(names) != pos.shape[0]:
                 raise ValueError("names length must match number of taxels")
-            # a layout file holds each name as one word before any '#'
-            bad = [name for name in names if name.split() != [name] or "#" in name]
-            if bad:
-                raise ValueError(f"taxel name {bad[0]!r} is empty or holds whitespace or '#'")
+            check_words("taxel name", names)   # a layout file holds each name as one word
             object.__setattr__(self, "names", names)
 
     @property

@@ -16,10 +16,11 @@ Optimization is Adam with bias correction, in place, one sample per step.
 
 ``train`` returns one round of the protocol, and ``run_round`` is that
 round as a function of ``(cfg, r)`` alone. The rounds share nothing but
-their inputs, so ``run_rounds`` runs each on a spawned worker process, at
+their inputs, so ``iter_rounds`` runs each on a spawned worker process, at
 most one per usable core (the process's CPU affinity), each with one BLAS
-thread: a round gives the same bytes however many run beside it. A worker
-ends when the caller's pipe to it closes.
+thread: a round gives the same bytes however many run beside it. Rounds
+arrive in round order, ``run_rounds`` lists them, and a worker ends when
+the caller's pipe to it closes.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class TrainConfig:
             raise ValueError("split_fraction must be in (0, 1)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:   # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -305,21 +308,21 @@ def _start_worker(warning_filters, watched) -> None:
     threading.Thread(target=exit_at_eof, daemon=True).start()
 
 
-def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
-    """``run_round`` for every round of ``cfg``, returned in round order.
+def iter_rounds(dataset, net_config, cfg: TrainConfig) -> Iterator[tuple[int, RoundResult]]:
+    """``(r, run_round(..., r))`` for each round of ``cfg``, once it and all earlier rounds are done.
 
-    Every round runs on one of ``min(cfg.rounds, usable cores)`` spawned
-    worker processes with one BLAS thread each, also a single round. This
-    process's environment is the same afterwards. A worker exits when this
-    call's pipe to it closes: at the first round to fail, which then raises
-    here, or at an interrupt (the other rounds do not finish), and when this
-    process dies. A bare ``os.fork()`` child would inherit the pipe and keep
-    the workers alive; the package forks nothing, and ``subprocess`` does
+    Every round runs on one of ``min(cfg.rounds, usable cores)`` spawned worker processes
+    with one BLAS thread each, also a single round. This process holds ``WORKER_BLAS_ENV``
+    while the iterator is open; once it ends or is closed, the environment is as it was. A
+    worker exits when the iterator's pipe to it closes: at the earliest round (in round
+    order) to fail, which then raises here, at an interrupt or ``close()`` (the other rounds
+    do not finish), and when this process dies. A bare ``os.fork()`` child would inherit
+    the pipe and keep the workers alive; the package forks nothing, and ``subprocess`` does
     not pass the pipe on.
     """
     workers = min(cfg.rounds, _usable_cores())
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
     watched, stop = spawn.Pipe(duplex=False)
@@ -333,19 +336,23 @@ def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
             try:
                 rounds = [pool.submit(run_round, dataset, net_config, cfg, r)
                           for r in range(cfg.rounds)]
-                for done in as_completed(rounds):
-                    done.result()   # the first round to fail raises here
+                for r, future in enumerate(rounds):
+                    yield r, future.result()   # the earliest failing round raises here
             except BaseException:
                 # Every worker exits at the pipe's EOF. Leaving the block then fails the
                 # rounds not yet done (none is cancelled: Python 3.11's pool would then
                 # fail it twice, InvalidStateError) and joins the pool.
                 stop.close()
                 raise
-        return [future.result() for future in rounds]
     finally:
         for k in WORKER_BLAS_ENV:
             os.environ.pop(k, None)
         os.environ.update(saved)
+
+
+def run_rounds(dataset, net_config, cfg: TrainConfig) -> list[RoundResult]:
+    """``run_round`` for every round of ``cfg``, in round order: ``iter_rounds`` run out."""
+    return [result for _, result in iter_rounds(dataset, net_config, cfg)]
 
 
 def summarize_rounds(results) -> tuple[float, float]:

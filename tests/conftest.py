@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import taxelsnn
-from taxelsnn import TaxelLayout, load_layout, radial_layout
+from taxelsnn import TaxelLayout, load_layout, radial_layout, training
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -30,12 +30,24 @@ def layout10() -> TaxelLayout:
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a multiprocessing child alive; every run_rounds call starts some."""
+    """Fail a test that leaves a multiprocessing child alive or a worker BLAS variable changed.
+
+    Every iter_rounds pool starts children, and an iterator left open holds the variables.
+    """
+    blas = {name: os.environ.get(name) for name in training.WORKER_BLAS_ENV}
     yield
     left = multiprocessing.active_children()
     for child in left:
         child.terminate()
-    assert left == [], f"child processes left alive: {left}"
+    changed = {name: os.environ.get(name) for name, value in blas.items()
+               if os.environ.get(name) != value}
+    for name, value in blas.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+    assert (left, changed) == ([], {}), (f"child processes left alive: {left}; "
+                                         f"worker BLAS variables left changed: {changed}")
 
 
 @pytest.fixture()

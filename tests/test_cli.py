@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import re
 import shlex
 import struct
@@ -230,6 +231,21 @@ def test_os_error_is_one_line_data_error(capsys, synth_dir, train_dir, tmp_path,
     assert err.startswith("data error:") and err.count("\n") == 1 and str(paths[bad]) in err
 
 
+def test_train_write_failure_is_one_line_data_error_and_stops_the_rounds(capsys, synth_dir,
+                                                                          tmp_path):
+    out = tmp_path / "run"
+    (out / "round01_metrics.csv").mkdir(parents=True)   # round 1's file cannot be written
+    code, stdout, err = run(capsys, "train", "--layout", str(synth_dir / "layout.txt"),
+                            "--manifest", str(synth_dir / "manifest.txt"), "--out-dir", str(out),
+                            "--feature-width", "2", "--fc-sizes", "4,4", "--epochs", "1",
+                            "--rounds", "3")
+    assert code == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(out / "round01_metrics.csv") in err
+    assert stdout == "" and multiprocessing.active_children() == []
+    assert sorted(path.name for path in out.iterdir()) == ["round01_metrics.csv"]
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (("train", "--layout", "{bad}", "--manifest", "{manifest}", "--out-dir", "{out}"),
      "0 0 0\n1 0 1\n2 1 0\n3 1 1\n", "layout has 4 taxels but manifest declares 39"),
@@ -332,7 +348,7 @@ def test_train_nonfinite_lif_value_is_usage_error(capsys, synth_dir, tmp_path, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["rounds = 0", "learning_rate = -1", "u_reset = 0.9"],
+@pytest.mark.parametrize("line", ["rounds = 0", "learning_rate = -1", "u_reset = 0.9", "seed = -1"],
                          ids=lambda line: line.split()[0])
 def test_run_config_bad_value_fails_before_any_file_is_read(line, tmp_path, capsys, monkeypatch):
     def unread(path):
@@ -460,11 +476,11 @@ def test_train_passes_every_setting_to_its_owner(source, synth_dir, tmp_path, mo
     class Reached(Exception):
         pass
 
-    def fake_run_rounds(dataset, net_config, train_cfg):
+    def fake_iter_rounds(dataset, net_config, train_cfg):
         reached.update(net=net_config, train=train_cfg)
         raise Reached
 
-    monkeypatch.setattr("taxelsnn.cli.run_rounds", fake_run_rounds)
+    monkeypatch.setattr("taxelsnn.cli.iter_rounds", fake_iter_rounds)
     text = {name: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             for name, value in NON_DEFAULT.items()}
     if source == "flags":

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,21 @@ def test_manifest_round_trip(tmp_path):
     assert back.class_names == ("a", "b")
     assert [lbl for _, lbl in back.entries] == [0, 1]
     assert back.bin_width == 0.02
+
+
+@pytest.mark.parametrize("sample, classes, message", [
+    ("my data/s0.events", ("a", "b"), "sample path 'my data/s0.events'"),
+    ("x#1.events", ("a", "b"), "sample path 'x#1.events'"),
+    ("s0.events", ("a", "b c"), "class name 'b c'"),
+    ("s0.events", ("a#x", "b"), "class name 'a#x'")],
+    ids=["path-space", "path-hash", "class-space", "class-hash"])
+def test_write_manifest_refuses_what_load_manifest_cannot_read(sample, classes, message,
+                                                               tmp_path):
+    manifest = DatasetManifest(entries=((tmp_path / sample, 0), (tmp_path / sample, 1)),
+                               class_names=classes, num_taxels=2, num_channels=1, bin_width=0.02)
+    with pytest.raises(ValueError, match=re.escape(f"{message} is empty or holds whitespace")):
+        write_manifest(manifest, tmp_path / "m.txt")
+    assert list(tmp_path.iterdir()) == []   # refused before anything is written
 
 
 def test_sample_header_must_match_manifest(tmp_path):

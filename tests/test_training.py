@@ -16,12 +16,12 @@ import pytest
 
 from taxelsnn import (AdamState, Metrics, NetworkConfig, TaxelLayout, TrainConfig,
                       adam_step, backward, build_knn, build_manual, confusion_matrix,
-                      generate_synthetic, init_model, load_samples, model_forward, one_hot,
-                      stratified_split, train, voting_loss, run_round, run_rounds,
-                      summarize_rounds)
+                      generate_synthetic, init_model, iter_rounds, load_samples, model_forward,
+                      one_hot, save_layout, stratified_split, train, voting_loss, run_round,
+                      run_rounds, summarize_rounds)
+from taxelsnn import cli, training
 from taxelsnn.errors import write_lines
 from taxelsnn.lif import surrogate_grad
-from taxelsnn import training
 from taxelsnn.model import voting_matrix
 from taxelsnn.training import evaluate, format_mean_std
 from tests.conftest import package_env
@@ -529,6 +529,21 @@ def test_run_rounds_on_one_core_runs_on_one_worker(pool_workers, monkeypatch):
         assert_same_round(result, run_round(data, net, cfg, r))
 
 
+def test_iter_rounds_closed_after_its_first_round_stops_the_rest(pool_workers):
+    graph, data = tiny_dataset()
+    net = NetworkConfig(graph=graph, num_classes=2, num_channels=1,
+                        feature_width=2, fc_sizes=(4, 4))
+    cfg = TrainConfig(epochs=2, rounds=3, seed=6)
+    environ = dict(os.environ)
+    rounds = iter_rounds(data, net, cfg)
+    r, first = next(rounds)
+    assert {name: os.environ.get(name) for name in BLAS_VARS} == training.WORKER_BLAS_ENV
+    rounds.close()
+    assert_no_worker_left(pool_workers, environ)
+    assert r == 0
+    assert_same_round(first, run_round(data, net, cfg, 0))
+
+
 @pytest.mark.parametrize("count, cores", [(3, 3), (None, 1)])
 def test_usable_cores_without_affinity_call_is_cpu_count(count, cores, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -609,6 +624,54 @@ def test_run_rounds_workers_exit_when_caller_is_killed():
     assert not any(_alive(pid) for pid in pids)
 
 
+KILLED_TRAIN = """
+import multiprocessing, sys, threading, time
+from taxelsnn import cli, training
+
+def report_workers():
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+training._usable_cores = lambda: 2
+threading.Thread(target=report_workers, daemon=True).start()
+cli.main(sys.argv[1:])
+"""
+
+
+def test_train_killed_after_its_first_round_keeps_that_round(layout10, tmp_path):
+    # 3 rounds on 2 workers: round 3 starts as round 1 or 2 ends, and runs about a second
+    generate_synthetic(tmp_path / "data", layout10, num_classes=2, samples_per_class=5,
+                       duration=0.2, num_channels=1, seed=3)
+    save_layout(layout10, tmp_path / "data" / "layout.txt")
+    argv = ["train", "--layout", str(tmp_path / "data" / "layout.txt"),
+            "--manifest", str(tmp_path / "data" / "manifest.txt"), "--feature-width", "2",
+            "--fc-sizes", "4,4", "--epochs", "400", "--rounds", "3", "--seed", "5"]
+    killed = tmp_path / "killed"
+    parent = subprocess.Popen([sys.executable, "-c", KILLED_TRAIN, *argv, "--out-dir", str(killed)],
+                              env=package_env(), stdout=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+        pids = [int(pid) for pid in parent.stdout.readline().split()] if ready else []
+        deadline = time.monotonic() + 60.0
+        while not (killed / "round01_model.npz").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        working = [pid for pid in pids if _alive(pid)]
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10.0)
+        parent.stdout.close()
+    assert len(pids) == 2 and working, "no worker was alive when round 1's checkpoint appeared"
+    deadline = time.monotonic() + 10.0
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
+    whole = tmp_path / "whole"
+    assert cli.main([*argv, "--out-dir", str(whole)]) == 0
+    for name in ("round01_model.npz", "round01_metrics.csv"):
+        assert (killed / name).read_bytes() == (whole / name).read_bytes(), name
+
+
 INTERRUPTED_CALLER = """
 import os
 from pathlib import Path
@@ -671,3 +734,5 @@ def test_train_config_validation():
     for bad in (-1.0, 0.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
