@@ -183,6 +183,8 @@ def generate_synthetic(out_dir, layout: TaxelLayout, num_classes: int = 4,
         raise ValueError("duration and noise_rate must be finite and >= 0")
     if not 0 < bin_width < np.inf:
         raise ValueError("bin_width must be finite and > 0")
+    if seed < 0:   # numpy's generators take no negative seed
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)

@@ -267,21 +267,40 @@ def calibrate(model: Model, samples) -> None:
     input is all zero (its input never spiked) is left unscaled; a
     non-finite one raises ValueError.
 
+    Memory: beside the samples' feature inputs (later their spikes, as bool
+    masks) it holds one sample's weighted input and one float64 buffer of
+    them all, 40 MB for the published feature layer; np.std's steps run in
+    place on it, and it is freed before the scaled layer runs.
+
     Pass training samples only; ``CALIBRATION_SAMPLES`` is the number
     the training protocol uses.
     """
     cfg = model.config
     target = cfg.lif.u_threshold / 2.0
     inputs = [_feature_input(model, sample)[1] for sample in samples]
+    if not inputs:
+        raise ValueError("calibration needs at least one sample")
+    steps = sum(len(below) for below in inputs)
     for name in layer_names(cfg):
-        std = float(np.concatenate([_weighted_input(model, name, below).ravel()
-                                    for below in inputs]).std())
+        pooled, end = None, 0
+        for below in inputs:
+            z = _weighted_input(model, name, below).ravel()
+            if pooled is None:   # the first sample's width per step sizes the buffer
+                pooled = np.empty(steps * (z.size // len(below)))
+            pooled[end:end + z.size] = z
+            end += z.size
+            del z   # else it stays alive while the next sample's input is formed
+        pooled -= np.add.reduce(pooled) / pooled.size
+        np.square(pooled, out=pooled)
+        std = float(np.sqrt(np.add.reduce(pooled) / pooled.size))
+        del pooled   # freed before the layer runs
         weight = weight_name(cfg, name)
         if not np.isfinite(std):
             raise ValueError(f"calibration samples give {weight!r} a non-finite input")
         if std > 0.0:
             model.params[weight] *= target / std
-        inputs = [_layer_forward(model, name, below).out for below in inputs]
+        # spiking mode emits exactly 0 or 1, so a bool mask is the same input at 1/8 the bytes
+        inputs = [_layer_forward(model, name, below).out.astype(bool) for below in inputs]
 
 
 def vote(outputs: np.ndarray, voting: np.ndarray):

@@ -178,6 +178,13 @@ def test_synth_value_its_loader_rejects_fails_and_writes_nothing(flag, value, ca
     assert not out.exists()
 
 
+def test_synth_negative_seed_fails_naming_the_seed_and_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "z"
+    code, _, err = run(capsys, "synth", "--out", str(out), "--seed", "-1")
+    assert (code, err) == (1, "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 # --- train ---
 
 def test_train_outputs(train_dir, capsys):

@@ -100,6 +100,13 @@ def test_generate_validation(tmp_path, layout10):
         generate_synthetic(tmp_path, layout10, num_classes=11)
 
 
+def test_generate_rejects_negative_seed_before_writing(tmp_path, layout10):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        generate_synthetic(out, layout10, seed=-1)
+    assert not out.exists()
+
+
 def test_load_samples_pads_to_common_length(tmp_path):
     # 0.5 s and 0.3 s recordings at 0.02 s bins: 25 and 15 steps
     short = EventStream(np.array([0.0, 0.15, 0.3]), np.array([0, 1, 2]), np.array([0, 1, 0]),

@@ -23,7 +23,7 @@ from taxelsnn import (AdamState, NetworkConfig, TrainConfig, adam_step, backward
 from taxelsnn import model as tmodel
 from taxelsnn.layout import load_layout, radial_layout
 from taxelsnn.lif import membrane_update, relaxed_spike
-from taxelsnn.model import hop_major, layer_names
+from taxelsnn.model import CALIBRATION_SAMPLES, hop_major, layer_names
 from tests.conftest import DATA_DIR
 
 T_STEPS = 120
@@ -197,9 +197,27 @@ def test_backward_scan_and_adam_match_per_step_reference(feature, relaxed, monke
     assert any(signed_zeros)
 
 
-@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
-def test_one_pass_calibration_matches_per_layer_forwards(feature):
-    model, xs = seeded_case(feature, seed=14)   # calibrated by calibrate
+def paper_case(feature, seed, count):
+    """An uncalibrated network at the published scale and ``count`` sparse binned samples."""
+    graph = build_knn(load_layout(DATA_DIR / "taxels39.txt"), 2)
+    model = init_model(NetworkConfig(graph=graph, num_classes=36, num_channels=2,
+                                     feature=feature), seed=seed)
+    rng = np.random.default_rng(seed)
+    return model, [(rng.random((250, graph.num_nodes, 2)) < 0.05).astype(np.uint8)
+                   for _ in range(count)]
+
+
+@pytest.mark.parametrize("feature, paper", [("tagconv", False), ("mlp", False),
+                                            ("tagconv", True), ("mlp", True)],
+                         ids=["tagconv", "mlp", "tagconv-paper", "mlp-paper"])
+def test_one_pass_calibration_matches_per_layer_forwards(feature, paper):
+    # at paper shape the pooled feature input holds about 5 M values, so numpy's pairwise
+    # summation runs at depth
+    if paper:
+        model, xs = paper_case(feature, seed=14, count=CALIBRATION_SAMPLES)
+        calibrate(model, xs)
+    else:
+        model, xs = seeded_case(feature, seed=14)   # calibrated by calibrate
     reference = init_model(model.config, seed=14)
     per_layer_calibrate(reference, xs)
     for name, p in reference.params.items():
