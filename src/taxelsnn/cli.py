@@ -21,7 +21,8 @@ from .errors import DataFormatError, content_lines, read_lines, write_lines
 from .graphs import METHODS, GraphSpec, build_graph
 from .layout import load_layout, load_edge_list, radial_layout, save_edge_list, save_layout
 from .lif import LifConfig
-from .model import FEATURE_KINDS, NetworkConfig, load_model, save_model
+from .model import (FEATURE_KINDS, SIZE_FLOORS, NetworkConfig, load_model, save_model,
+                    size_in_range)
 # confusion_matrix is unused here, but the benchmark's tracer binds cli.confusion_matrix
 from .training import (TrainConfig, evaluate, confusion_matrix, format_mean_std,
                        iter_rounds, stratified_split, summarize_rounds, write_confusion)
@@ -76,6 +77,9 @@ _FIELD_TYPES = {f.name: layer_sizes if isinstance(f.default, tuple) else type(f.
 # the fields that take one of a fixed set of values, each read from the set's owner
 _CHOICES = {"method": tuple(METHODS), "feature": FEATURE_KINDS}
 
+# the network sizes checked before any file is read: run setting -> NetworkConfig field
+_SIZES = {"hops": "tagconv_hops", "feature_width": "feature_width", "fc_sizes": "fc_sizes"}
+
 # each method's GraphSpec parameter -> the run setting that gives it (manual: an edge file)
 _GRAPH_SETTINGS = {p: p if p in _FIELD_TYPES else "edges" for p in METHODS.values()}
 _GRAPH_FIELDS = ("method", *_GRAPH_SETTINGS.values())   # the graph command's flags
@@ -101,6 +105,8 @@ def load_run_config(path) -> RunConfig:
         try:
             parsed = _FIELD_TYPES[key](value)
             if key in _CHOICES and parsed not in _CHOICES[key]:
+                raise ValueError
+            if key in _SIZES and not size_in_range(_SIZES[key], parsed):
                 raise ValueError
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
@@ -179,6 +185,10 @@ def cmd_train(args) -> int:
                           "(config keys or --layout/--manifest)")
     lif = LifConfig(**_owned(cfg, LifConfig))   # the checks that need no file come first
     train_cfg = TrainConfig(**_owned(cfg, TrainConfig))
+    for key, name in _SIZES.items():   # flags; a config file's values were checked as it loaded
+        if not size_in_range(name, getattr(cfg, key)):
+            raise DataFormatError(f"bad value for {key!r}: {getattr(cfg, key)!r} "
+                                  f"(at least {SIZE_FLOORS[name]})")
     layout = load_layout(cfg.layout)
     manifest = load_manifest(cfg.manifest)
     if layout.num_taxels != manifest.num_taxels:

@@ -59,9 +59,10 @@ def membrane_update(u_prev: np.ndarray, fired_prev: np.ndarray, current: np.ndar
     return u_new, np.greater_equal(u_new, cfg.u_threshold, out=fired_out)
 
 
-def surrogate_grad(u: np.ndarray, cfg: LifConfig) -> np.ndarray:
-    """Rectangular stand-in for d(spike)/du, with strict window edges; ``u`` is not modified."""
-    grad = np.subtract(np.asarray(u, dtype=np.float64), cfg.u_threshold)
+def surrogate_grad(u: np.ndarray, cfg: LifConfig, out=None) -> np.ndarray:
+    """Rectangular stand-in for d(spike)/du, with strict window edges, written into ``out``
+    when given; ``u`` is not modified."""
+    grad = np.subtract(np.asarray(u, dtype=np.float64), cfg.u_threshold, out=out)
     np.abs(grad, out=grad)
     np.less(grad, cfg.surrogate_width / 2.0, out=grad)   # 1.0 inside the window, else 0.0
     grad /= cfg.surrogate_width

@@ -10,6 +10,14 @@ voting matrix maps the last layer's spike counts to class scores.
 The forward pass runs layer by layer over the time window and records
 everything the backward pass needs (membranes, firing indicators, emitted
 outputs, propagated inputs), so training can unroll gradients through it.
+
+A ``ForwardTrace`` owns a step's large arrays: per layer its currents,
+membranes, bool spike mask and float spikes, and the reset factor and input
+gradient that ``training.backward`` keeps beside them. Handed back to
+``model_forward`` as ``out``, a trace is rewritten in place, so ``train``
+allocates them once per round and its evaluations reuse them too.
+``backward`` uses the currents as scratch, so they hold dz after it; the
+membranes, spikes and outputs it leaves as the forward wrote them.
 """
 from __future__ import annotations
 
@@ -30,6 +38,14 @@ from .lif import LifConfig, membrane_update, relaxed_spike
 
 FEATURE_KINDS = ("tagconv", "mlp")
 CALIBRATION_SAMPLES = 8   # training samples per round that calibrate() sees
+# the least value of each NetworkConfig size; these checks need no graph or dataset
+SIZE_FLOORS = {"tagconv_hops": 0, "feature_width": 1, "fc_sizes": 1, "num_channels": 1}
+
+
+def size_in_range(name: str, value) -> bool:
+    """Whether the NetworkConfig size ``name`` (every one, for ``fc_sizes``) meets its floor."""
+    sizes = value if isinstance(value, tuple) else (value,)
+    return len(sizes) > 0 and min(sizes) >= SIZE_FLOORS[name]
 
 
 @dataclass(frozen=True)
@@ -51,8 +67,7 @@ class NetworkConfig:
         if len(self.fc_sizes) == 0:
             raise ValueError("fc_sizes must be nonempty")
         object.__setattr__(self, "fc_sizes", tuple(int(s) for s in self.fc_sizes))
-        if (self.tagconv_hops < 0 or self.num_channels < 1 or self.feature_width < 1
-                or min(self.fc_sizes) < 1):
+        if not all(size_in_range(name, getattr(self, name)) for name in SIZE_FLOORS):
             raise ValueError(f"need tagconv_hops >= 0 and layer sizes >= 1 and num_channels >= 1, "
                              f"got hops {self.tagconv_hops}, widths {self.feature_width}, "
                              f"{self.fc_sizes}, channels {self.num_channels}")
@@ -154,6 +169,10 @@ class LayerTrace:
     u: np.ndarray       # (T, ...) membrane potentials
     fired: np.ndarray   # (T, ...) binary threshold crossings (drive the reset)
     out: np.ndarray     # (T, ...) emitted signal; the fired array itself unless relaxed
+    mask: np.ndarray    # (T, ...) the crossings as the bool mask the scan writes
+    currents: np.ndarray                # (T, ...) input currents; backward leaves dz here
+    carry: np.ndarray | None = None     # (T, ...) backward's reset factor
+    d_below: np.ndarray | None = None   # backward's gradient on the input below
 
 
 @dataclass
@@ -173,7 +192,7 @@ class ForwardTrace:
         return self.layers[li - 1].out if li else self.propagated
 
 
-def model_forward(model: Model, sample, relaxed: bool = False):
+def model_forward(model: Model, sample, relaxed: bool = False, out: ForwardTrace | None = None):
     """Run one sample through the network, layer by layer.
 
     A layer's emissions feed the next layer within the same timestep only,
@@ -186,10 +205,18 @@ def model_forward(model: Model, sample, relaxed: bool = False):
     relaxation while the membrane reset still triggers on the hard
     threshold (kept binary so the recurrence stays piecewise constant and
     finite-difference checks see exactly what the backward pass computes).
+
+    ``out``, an earlier trace of this model, is rewritten and returned when
+    its sample had this one's shape; its layers' arrays then hold this
+    sample. Otherwise the trace is new and ``out`` is left as it was.
     """
-    trace = ForwardTrace(*_feature_input(model, sample))
+    x, propagated = _feature_input(model, sample)
+    trace = out if out is not None and out.x.shape == x.shape else ForwardTrace(x, propagated)
+    trace.x, trace.propagated = x, propagated
+    earlier, trace.layers = trace.layers, []
     for li, name in enumerate(layer_names(model.config)):
-        trace.layers.append(_layer_forward(model, name, trace.layer_input(li), relaxed))
+        into = earlier[li] if li < len(earlier) else None
+        trace.layers.append(_layer_forward(model, name, trace.layer_input(li), relaxed, into))
     return trace.outputs, trace
 
 
@@ -208,38 +235,55 @@ def _feature_input(model: Model, sample):
     return x, _propagate(x, cfg.hop_powers) if cfg.feature == "tagconv" else x
 
 
-def _layer_forward(model: Model, name: str, below: np.ndarray, relaxed: bool = False):
-    """Layer ``name``'s currents from its input ``below``, then its membrane scan."""
-    z = _weighted_input(model, name, below) + model.params[f"{name}.b"]
-    return lif_scan(z, model.config.lif, relaxed)
+def _layer_forward(model: Model, name: str, below: np.ndarray, relaxed: bool = False,
+                   out: LayerTrace | None = None) -> LayerTrace:
+    """Layer ``name``'s currents from its input ``below``, then its membrane scan, into ``out``."""
+    z = _weighted_input(model, name, below, None if out is None else out.currents)
+    z += model.params[f"{name}.b"]
+    return lif_scan(z, model.config.lif, relaxed, out)
 
 
-def lif_scan(currents: np.ndarray, lif: LifConfig, relaxed: bool = False) -> LayerTrace:
-    """One layer's membrane recurrence from rest over its (T, ...) currents; step t writes row t."""
-    u, fired = np.empty_like(currents), np.empty(currents.shape, dtype=bool)
+def lif_scan(currents: np.ndarray, lif: LifConfig, relaxed: bool = False,
+             out: LayerTrace | None = None) -> LayerTrace:
+    """One layer's membrane recurrence from rest over its (T, ...) currents; step t writes row t.
+
+    The result keeps ``currents``. ``out``, an earlier result of the same shape, receives
+    the membranes, mask and spikes in its arrays and is returned.
+    """
+    layer = out if out is not None else LayerTrace(
+        u=np.empty_like(currents), fired=np.empty_like(currents), out=None,
+        mask=np.empty(currents.shape, dtype=bool), currents=currents)
+    u, mask = layer.u, layer.mask
     u_t, fired_t = np.zeros(currents.shape[1:]), np.zeros(currents.shape[1:], dtype=bool)
     for t in range(len(currents)):
-        u_t, fired_t = membrane_update(u_t, fired_t, currents[t], lif, u[t], fired[t])
-    fired = fired.astype(np.float64)   # the steps write a bool mask; one cast per window
-    return LayerTrace(u=u, fired=fired, out=relaxed_spike(u, lif) if relaxed else fired)
+        u_t, fired_t = membrane_update(u_t, fired_t, currents[t], lif, u[t], mask[t])
+    np.copyto(layer.fired, mask)   # the steps write a bool mask; one cast per window
+    layer.currents = currents
+    layer.out = relaxed_spike(u, lif) if relaxed else layer.fired
+    return layer
 
 
-def _weighted_input(model: Model, name: str, below: np.ndarray) -> np.ndarray:
+def _weighted_input(model: Model, name: str, below: np.ndarray, out=None) -> np.ndarray:
     """Layer ``name``'s weighted input over the window as one product, bias excluded.
 
     The filter g (TAGConv, Du et al. 2017) maps propagated (T, K+1, N, C) to (T, N, F), per
     step ``z[:, f] = sum_c sum_k g[c,f,k] A^k x[:, c] + b[f]``; dense flattens to (T, in).
+    The product is written into ``out`` when given, a C-contiguous array of its size.
     """
     weight = model.params[weight_name(model.config, name)]
     if weight.ndim == 3:   # the filter g, shape (C, F, K+1)
         t_steps, hops, n, c = below.shape
         g_mat = weight.transpose(2, 0, 1).reshape(hops * c, -1)   # rows (k, c) like hop_major
-        return (hop_major(below) @ g_mat).reshape(t_steps, n, -1)
-    return below.reshape(len(below), -1) @ weight.T
+        flat = None if out is None else out.reshape(t_steps * n, -1)
+        return np.matmul(hop_major(below), g_mat, out=flat).reshape(t_steps, n, -1)
+    return np.matmul(below.reshape(len(below), -1), weight.T, out=out)
 
 
-def layer_grads(model: Model, name: str, below: np.ndarray, dz: np.ndarray):
-    """``_layer_forward``^T: ``({weight: dw, bias: db}, d_below)`` from ``dz`` on the currents."""
+def layer_grads(model: Model, name: str, below: np.ndarray, dz: np.ndarray, out=None):
+    """``_layer_forward``^T: ``({weight: dw, bias: db}, d_below)`` from ``dz`` on the currents.
+
+    ``d_below`` is written into ``out`` when given, a C-contiguous array of its size.
+    """
     key = weight_name(model.config, name)
     weight = model.params[key]
     if weight.ndim == 3:
@@ -248,7 +292,8 @@ def layer_grads(model: Model, name: str, below: np.ndarray, dz: np.ndarray):
     else:
         dw = dz.T @ below.reshape(len(below), -1)
     # d_below is the gradient on the input below; the feature layer's input is data
-    d_below = None if name == "feature" else (dz @ weight).reshape(below.shape)
+    d_below = None if name == "feature" else np.matmul(
+        dz, weight, out=None if out is None else out.reshape(len(dz), -1)).reshape(below.shape)
     return {key: dw, f"{name}.b": dz.sum(axis=tuple(range(dz.ndim - 1)))}, d_below
 
 

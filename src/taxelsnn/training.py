@@ -11,6 +11,11 @@ forward only within a timestep — so the backward pass is one reverse scan
 per layer, then ``model.layer_grads`` for its weight, bias and input
 gradients. The scan forms the surrogate and reset factors for the whole
 window, then runs the recurrence in place in the per-step formula's order.
+It writes the surrogate, then dz, over the layer's spent currents in the
+trace, and keeps the reset factor and the input gradient in arrays of the
+trace's layers; membranes, spikes and outputs it only reads. ``train`` hands
+one trace from step to step and into ``evaluate``, so a round allocates a
+step's large arrays once.
 
 Optimization is Adam with bias correction, in place, one sample per step.
 
@@ -97,7 +102,12 @@ def one_hot(label: int, num_classes: int) -> np.ndarray:
 
 def voting_loss(outputs: np.ndarray, voting: np.ndarray, y: np.ndarray) -> float:
     """Squared error between the label vector and time-averaged votes."""
-    diff = np.asarray(y, dtype=np.float64) - vote(outputs, voting)[0]
+    return _score_loss(vote(outputs, voting)[0], y)
+
+
+def _score_loss(scores: np.ndarray, y: np.ndarray) -> float:
+    """Squared error between the label vector and one sample's class scores."""
+    diff = np.asarray(y, dtype=np.float64) - scores
     return float(diff @ diff)
 
 
@@ -106,12 +116,13 @@ def _lif_backward_scan(delta_out: np.ndarray, layer, lif) -> np.ndarray:
 
     delta_out carries the loss gradient reaching each timestep's emitted
     output (downstream layers and the loss only — never the reset).
-    Returns the gradient on the layer's input currents, shape == delta_out.
+    Returns the gradient on the layer's input currents, shape == delta_out,
+    in the layer's currents array; delta_out is not modified.
     """
-    dz = surrogate_grad(layer.u, lif)
+    dz = surrogate_grad(layer.u, lif, out=layer.currents)   # the currents are spent
     dz *= delta_out
     # firing at step t gates the reset applied between t and t+1
-    carry = np.subtract(1.0, layer.fired)
+    layer.carry = carry = np.subtract(1.0, layer.fired, out=layer.carry)
     carry *= lif.beta
     # dz[t] = dz[t] + carry[t] * dz[t+1], in place; at t = T-1 it adds carry * 0, so -0.0 -> +0.0
     dz_next = np.zeros(dz.shape[1:])
@@ -136,9 +147,11 @@ def backward(model: Model, trace: ForwardTrace, label_onehot: np.ndarray) -> dic
 
     grads: dict[str, np.ndarray] = {}
     for li, name in reversed(list(enumerate(layer_names(cfg)))):
-        dz = _lif_backward_scan(dout, trace.layers[li], cfg.lif)
-        layer, dout = layer_grads(model, name, trace.layer_input(li), dz)
-        grads.update(layer)
+        layer = trace.layers[li]
+        dz = _lif_backward_scan(dout, layer, cfg.lif)
+        layer_grad, dout = layer_grads(model, name, trace.layer_input(li), dz, layer.d_below)
+        layer.d_below = dout
+        grads.update(layer_grad)
     return grads
 
 
@@ -197,14 +210,19 @@ def stratified_split(labels, fraction: float, seed: int):
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def evaluate(model: Model, samples, labels):
-    """Mean voting loss, accuracy, predictions and confusion matrix of a held-out set."""
+def evaluate(model: Model, samples, labels, trace: ForwardTrace | None = None):
+    """Mean voting loss, accuracy, predictions and confusion matrix of a held-out set.
+
+    Every sample's forward rewrites one trace: ``trace``, an earlier one of this model,
+    when given and of the samples' shape.
+    """
     num_classes = model.config.num_classes
     losses, preds = [], []
     for sample, label in zip(samples, labels):
-        outputs, _ = model_forward(model, sample)
-        losses.append(voting_loss(outputs, model.voting, one_hot(label, num_classes)))
-        preds.append(vote(outputs, model.voting)[1])
+        outputs, trace = model_forward(model, sample, out=trace)
+        scores, pred = vote(outputs, model.voting)
+        losses.append(_score_loss(scores, one_hot(label, num_classes)))
+        preds.append(pred)
     preds = np.array(preds, dtype=np.int64)
     cm = confusion_matrix(labels, preds, num_classes)
     n = len(preds)   # accuracy is the confusion's trace over n; an empty set gives NaNs
@@ -245,16 +263,18 @@ def train(model: Model, dataset, cfg: TrainConfig, r: int = 0) -> RoundResult:
     state = AdamState.for_params(model.params)
     rng = np.random.default_rng(cfg.seed + r)
     num_classes = model.config.num_classes
+    trace = None   # every step and every scored sample rewrites this one trace
     for _ in range(cfg.epochs):
         order = rng.permutation(len(train_samples))
         epoch_losses = np.empty(len(order))
         for pos, i in enumerate(order):
-            outputs, trace = model_forward(model, train_samples[i])
+            outputs, trace = model_forward(model, train_samples[i], out=trace)
             y = one_hot(int(train_labels[i]), num_classes)
             epoch_losses[pos] = voting_loss(outputs, model.voting, y)
-            grads = backward(model, trace, y)
-            adam_step(model.params, grads, state, cfg.learning_rate)
-        test_loss, test_acc, _, metrics.confusion = evaluate(model, test_samples, test_labels)
+            # unbound, a step's gradients are freed before the next forward
+            adam_step(model.params, backward(model, trace, y), state, cfg.learning_rate)
+        test_loss, test_acc, _, metrics.confusion = evaluate(model, test_samples, test_labels,
+                                                            trace)
         metrics.train_loss.append(float(epoch_losses.mean()))
         metrics.test_loss.append(test_loss)
         metrics.test_accuracy.append(test_acc)

@@ -355,20 +355,46 @@ def test_train_nonfinite_lif_value_is_usage_error(capsys, synth_dir, tmp_path, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["rounds = 0", "learning_rate = -1", "u_reset = 0.9", "seed = -1"],
-                         ids=lambda line: line.split()[0])
-def test_run_config_bad_value_fails_before_any_file_is_read(line, tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_file_read(monkeypatch):
+    """Fails the test if ``train`` reads its layout or manifest."""
     def unread(path):
         raise AssertionError(f"{path} was read")
 
     monkeypatch.setattr("taxelsnn.cli.load_layout", unread)
     monkeypatch.setattr("taxelsnn.cli.load_manifest", unread)
+
+
+# NetworkConfig's sizes that need no graph: a bad one fails at its line as the file loads
+NETWORK_SIZE_LINES = ["feature_width = 0", "fc_sizes = 0,4", "hops = -1"]
+
+
+@pytest.mark.parametrize("line", ["rounds = 0", "learning_rate = -1", "u_reset = 0.9", "seed = -1",
+                                  *NETWORK_SIZE_LINES], ids=lambda line: line.split()[0])
+def test_run_config_bad_value_fails_before_any_file_is_read(line, tmp_path, capsys, no_file_read):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"layout = layout.txt\nmanifest = manifest.txt\n{line}\n")
     out = tmp_path / "run"
     code, _, err = run(capsys, "train", "--config", str(cfg_path), "--out-dir", str(out))
-    assert code == 1
-    assert err.startswith("error:") and line.split()[0] in err
+    key, value = (part.strip() for part in line.split("="))
+    if line in NETWORK_SIZE_LINES:
+        assert (code, err) == (2, f"data error: {cfg_path}:3: bad value for {key!r}: {value!r}\n")
+    else:
+        assert code == 1
+        assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [("--hops=-1", "'hops': -1 (at least 0)"),
+                                           ("--feature-width=0", "'feature_width': 0 (at least 1)"),
+                                           ("--fc-sizes=4,0", "'fc_sizes': (4, 0) (at least 1)")],
+                         ids=["hops", "feature_width", "fc_sizes"])
+def test_bad_network_size_flag_fails_before_any_file_is_read(flag, message, tmp_path, capsys,
+                                                             no_file_read):
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--layout", "layout.txt", "--manifest", "manifest.txt",
+                       "--out-dir", str(out), flag)
+    assert (code, err) == (2, f"data error: bad value for {message}\n")
     assert not out.exists()
 
 

@@ -13,7 +13,8 @@ The in-place reverse scan, Adam update and one-pass calibration keep every
 product and sum of the per-step code they replaced, kept here as
 references, so their results must match it byte for byte, signed zeros
 included. So must ``train``: it is compared with a serial loop built from
-those references.
+those references. Steps and evaluations that rewrite one trace must give
+the bytes of fresh forwards, and leave every other trace as it was.
 """
 import numpy as np
 import pytest
@@ -323,3 +324,100 @@ def test_paper_shape_step_matches_serial_reference():
         assert model.params[name].tobytes() == params[name].tobytes(), name
         assert state.m[name].tobytes() == m[name].tobytes(), name
         assert state.v[name].tobytes() == v[name].tobytes(), name
+
+
+def copy_model(model):
+    return tmodel.Model(model.config, {k: p.copy() for k, p in model.params.items()},
+                        model.voting)
+
+
+def steps_then_scores(model, xs, labels, relaxed, reuse):
+    """Adam steps on all but the last two samples, then the last two scored.
+
+    With ``reuse`` every forward rewrites the first step's trace, and ``evaluate`` scores
+    on it; else every forward is fresh and the scores are ``vote``'s on each.
+    """
+    state = AdamState.for_params(model.params)
+    eye = np.eye(model.config.num_classes)
+    trace, losses = None, []
+    for x, label in zip(xs[:-2], labels):
+        outputs, step = model_forward(model, x, relaxed=relaxed, out=trace)
+        if reuse:
+            assert trace is None or step is trace
+            trace = step
+        losses.append(training.voting_loss(outputs, model.voting, eye[label]))
+        adam_step(model.params, backward(model, step, eye[label]), state, 1e-3)
+    if reuse:
+        loss, _, preds, _ = training.evaluate(model, xs[-2:], labels[-2:], trace)
+        assert np.array_equal(trace.x, xs[-1])   # evaluate wrote into the steps' trace
+    else:
+        outputs = [model_forward(model, x)[0] for x in xs[-2:]]
+        loss = float(np.mean([training.voting_loss(o, model.voting, eye[label])
+                              for o, label in zip(outputs, labels[-2:])]))
+        preds = np.array([tmodel.vote(o, model.voting)[1] for o in outputs])
+    return state, losses, loss, preds
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
+def test_reused_trace_matches_fresh_forwards_at_paper_shape(feature, relaxed):
+    model, xs = paper_case(feature, seed=18, count=6)
+    calibrate(model, xs)
+    labels = [3, 17, 3, 30, 17, 30]
+    fresh, reused = copy_model(model), copy_model(model)
+    state, losses, loss, preds = steps_then_scores(fresh, xs, labels, relaxed, reuse=False)
+    state_r, losses_r, loss_r, preds_r = steps_then_scores(reused, xs, labels, relaxed, reuse=True)
+    assert losses_r == losses and loss_r == loss
+    assert preds_r.tobytes() == preds.astype(np.int64).tobytes()
+    for name, p in fresh.params.items():
+        assert reused.params[name].tobytes() == p.tobytes(), name
+        assert state_r.m[name].tobytes() == state.m[name].tobytes(), name
+        assert state_r.v[name].tobytes() == state.v[name].tobytes(), name
+    assert all(np.any(state.m[name] != 0.0) for name in state.m)
+
+
+def all_trace_arrays(trace):
+    return trace_arrays(trace) + [a for layer in trace.layers
+                                  for a in (layer.mask, layer.currents, layer.carry,
+                                            layer.d_below) if a is not None]
+
+
+def test_a_trace_not_passed_back_is_left_as_it_was():
+    model, xs = seeded_case("tagconv", seed=19)
+    y = np.eye(model.config.num_classes)[1]
+    _, kept = model_forward(model, xs[0])
+    backward(model, kept, y)
+    before = [a.copy() for a in all_trace_arrays(kept)]
+    _, other = model_forward(model, xs[1])
+    for x in xs[2:]:
+        backward(model, other, y)
+        assert model_forward(model, x, relaxed=True, out=other)[1] is other
+    training.evaluate(model, xs, [0, 1, 2, 3])
+    training.evaluate(model, xs, [0, 1, 2, 3], other)
+    _, shorter = model_forward(model, xs[1][:-1], out=kept)   # another shape: a new trace
+    assert shorter is not kept
+    backward(model, shorter, y)
+    after = all_trace_arrays(kept)
+    # x and propagated, and seven arrays per layer; the feature layer's input has no gradient
+    assert len(after) == len(before) == 2 + 7 * len(kept.layers) - 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("feature", ["tagconv", "mlp"])
+def test_backward_on_a_reused_trace_leaves_what_the_reference_reads(feature, relaxed):
+    model, xs = seeded_case(feature, seed=20)
+    eye = np.eye(model.config.num_classes)
+    trace = None
+    for step, x in enumerate(xs):
+        _, trace = model_forward(model, x, relaxed=relaxed, out=trace)
+        kept = [a.copy() for a in trace_arrays(trace)]
+        y = eye[step % len(eye)]
+        first = reference_backward(model, trace, y)
+        grads = backward(model, trace, y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(trace_arrays(trace), kept))
+        then = reference_backward(model, trace, y)
+        assert list(grads) == list(first) == list(then)
+        for name, g in grads.items():
+            assert g.tobytes() == first[name].tobytes() == then[name].tobytes(), (step, name)
+        adam_step(model.params, grads, AdamState.for_params(model.params), 1e-3)
